@@ -19,12 +19,12 @@ from .errors import (
     DomainError,
     DominancePrecondition,
     IdenticalActions,
+    InvariantViolation,
     NonmonotoneSolution,
     NonpositiveSurplus,
     OrderingViolation,
     OutsideOptionNotConstant,
     PreconditionError,
-    QuadratureError,
     RiskbidError,
     SingularHazard,
     SolverWarning,

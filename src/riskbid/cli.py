@@ -173,14 +173,7 @@ def _int_list(arr):
 
 
 def cmd_safety(args):
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read problem {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"problem {args.config} is not valid JSON: {exc}") from exc
-    states, bid_a, bid_b = problem_from_dict(doc)
+    states, bid_a, bid_b = problem_from_dict(load_config(args.config))
 
     # one format can be degenerate (e.g. the higher bid dominates in
     # second price whenever winning is always a gain) while the other

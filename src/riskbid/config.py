@@ -4,9 +4,9 @@ A scenario document selects the auction format and describes the value
 model, utility (plus optional concave transform), outside option, and
 — for second-price formats — the winning-payoff noise and the number of
 units.  Unknown keys are rejected so typos fail loudly, and
-``normalize_config`` materializes every default, which makes the echoed
-configuration in a run's metadata sufficient to reproduce the run
-bit for bit.
+``build_scenario`` returns a canonical config with every default
+materialized, which makes the echoed configuration in a run's metadata
+sufficient to reproduce the run bit for bit.
 """
 
 import json
@@ -33,7 +33,7 @@ from .utility import (
 )
 from .values import PowerDist, TruncatedNormalDist, UniformDist, ValueModel
 
-_FORMATS = ("fpa", "spa", "uniform")
+FORMATS = ("fpa", "spa", "uniform")
 _DEFAULT_TOLERANCES = {"ode_tol": 1e-8, "root_tol": 1e-10, "audit_tol": 1e-6}
 _COMMON_KEYS = {
     "format",
@@ -243,8 +243,8 @@ def build_scenario(doc):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     fmt = doc.get("format")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     allowed = _FPA_KEYS if fmt == "fpa" else _SPA_KEYS
     _check_keys(doc, allowed, {"format", "values"}, "config")
 
@@ -319,14 +319,8 @@ def build_scenario(doc):
     return fmt, scenario, canonical
 
 
-def normalize_config(doc):
-    """Return the config with every default materialized (validates it too)."""
-    _, _, canonical = build_scenario(doc)
-    return canonical
-
-
 def load_config(path):
-    """Read a config (or solve metadata) JSON file."""
+    """Read a JSON document: a config, solve metadata or a safety problem."""
     try:
         with open(path) as fh:
             return json.load(fh)

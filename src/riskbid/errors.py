@@ -60,8 +60,8 @@ class OrderingViolation(RiskbidError):
         self.report = report
 
 
-class QuadratureError(RiskbidError):
-    """Adaptive quadrature failed to converge."""
+class InvariantViolation(RiskbidError):
+    """A result contradicts a fact the theory guarantees (a library bug)."""
 
 
 class SolverWarning(UserWarning):

@@ -230,6 +230,32 @@ def _interpolant_slope(dense, t, span):
     return float((dense(c + h)[0] - dense(c - h)[0]) / (2.0 * h))
 
 
+def check_monotone(bids):
+    """Whether solved bids strictly increase along the grid.
+
+    Raises ``NonmonotoneSolution`` when the bids fail to increase over
+    more than two consecutive grid cells; a shorter wobble only warns
+    with a ``SolverWarning`` attributed to the caller of the solver.
+    """
+    diffs = np.diff(bids)
+    monotone = bool(np.all(diffs > 0))
+    if not monotone:
+        run = longest = 0
+        for d in diffs:
+            run = run + 1 if d <= 0 else 0
+            longest = max(longest, run)
+        if longest > 2:
+            raise NonmonotoneSolution(
+                f"bids decrease over {longest} consecutive grid cells"
+            )
+        warnings.warn(
+            "solved bids are not strictly increasing everywhere",
+            SolverWarning,
+            stacklevel=3,
+        )
+    return monotone
+
+
 def solve_fpa(scenario):
     """Solve the first-price ODE for the scenario's effective utility.
 
@@ -298,22 +324,7 @@ def solve_fpa(scenario):
     if np.any(grid - s_grid - bids <= 0):
         raise SingularHazard("bid function reached the zero-surplus frontier")
 
-    diffs = np.diff(bids)
-    monotone = bool(np.all(diffs > 0))
-    if not monotone:
-        run = longest = 0
-        for d in diffs:
-            run = run + 1 if d <= 0 else 0
-            longest = max(longest, run)
-        if longest > 2:
-            raise NonmonotoneSolution(
-                f"bids decrease over {longest} consecutive grid cells"
-            )
-        warnings.warn(
-            "solved bids are not strictly increasing everywhere",
-            SolverWarning,
-            stacklevel=2,
-        )
+    monotone = check_monotone(bids)
 
     residuals = np.empty_like(grid)
     scaled = np.empty_like(grid)
@@ -372,12 +383,8 @@ def compare_risk_aversion_fpa(scenario):
     s_grid = np.asarray(scenario.outside.value(grid))
     u = scenario.utility
     uh = scenario.effective_utility()
-    m_base = np.array(
-        [_tradeoff_raw(u, v - b, s) for v, b, s in zip(grid, base.bids, s_grid)]
-    )
-    m_bent = np.array(
-        [_tradeoff_raw(uh, v - b, s) for v, b, s in zip(grid, bent.bids, s_grid)]
-    )
+    m_base = _tradeoff_raw(u, grid - base.bids, s_grid)
+    m_bent = _tradeoff_raw(uh, grid - bent.bids, s_grid)
     report = ComparisonReport(
         grid=grid,
         beta=base.bids,

@@ -31,14 +31,6 @@ class OutsideOption:
     def value(self, v):
         raise NotImplementedError
 
-    def bound_abs(self, lo, hi):
-        """Upper bound for |s(v)| over [lo, hi]; used for bid brackets."""
-        grid = np.linspace(lo, hi, 257)
-        return float(np.max(np.abs(self.value(grid))))
-
-    def is_constant(self):
-        return False
-
     def to_config(self):
         raise NotImplementedError
 
@@ -51,12 +43,6 @@ class ConstantOutside(OutsideOption):
         v = np.asarray(v, dtype=float)
         out = np.full_like(v, self.s0)
         return float(out) if out.ndim == 0 else out
-
-    def bound_abs(self, lo, hi):
-        return abs(self.s0)
-
-    def is_constant(self):
-        return True
 
     def to_config(self):
         return {"form": "constant", "s0": self.s0}
@@ -73,12 +59,6 @@ class AffineOutside(OutsideOption):
     def value(self, v):
         out = self.c0 + self.c1 * np.asarray(v, dtype=float)
         return float(out) if out.ndim == 0 else out
-
-    def bound_abs(self, lo, hi):
-        return max(abs(self.value(lo)), abs(self.value(hi)))
-
-    def is_constant(self):
-        return self.c1 == 0.0
 
     def to_config(self):
         return {"form": "affine", "c0": self.c0, "c1": self.c1}
@@ -107,9 +87,6 @@ class TableOutside(OutsideOption):
         out = np.interp(np.asarray(v, dtype=float), self.vs, self.ss)
         return float(out) if out.ndim == 0 else out
 
-    def is_constant(self):
-        return bool(np.all(self.ss == self.ss[0]))
-
     def to_config(self):
         return {
             "form": "table",
@@ -131,13 +108,6 @@ class NoiseDist:
 
     def sample(self, rng, size):
         raise NotImplementedError
-
-    def span(self):
-        return float(self.support[1] - self.support[0])
-
-    def mean(self):
-        pts, wts = self.atoms()
-        return float(np.dot(wts, pts))
 
     def to_config(self):
         raise NotImplementedError
@@ -258,15 +228,8 @@ class WinPayoff:
         d, w = self.offsets()
         return float(np.dot(w, d))
 
-    def min_offset(self):
-        d, _ = self.offsets()
-        return float(np.min(d))
-
     def noise_span(self):
         return 0.0
-
-    def is_degenerate(self):
-        return False
 
     def to_config(self):
         raise NotImplementedError
@@ -278,9 +241,6 @@ class DeterministicWin(WinPayoff):
 
     def sample(self, rng, v):
         return np.asarray(v, dtype=float).copy()
-
-    def is_degenerate(self):
-        return True
 
     def to_config(self):
         return {"form": "deterministic"}
@@ -308,9 +268,6 @@ class NoisyWin(WinPayoff):
     def noise_span(self):
         lo, hi = self.noise.support
         return self.scale * (hi - lo)
-
-    def is_degenerate(self):
-        return self.scale == 0.0
 
     def to_config(self):
         return {

@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DominancePrecondition,
     IdenticalActions,
+    InvariantViolation,
     OutsideOptionNotConstant,
     PreconditionError,
 )
@@ -176,16 +177,15 @@ def is_safer(problem, tol=TAU_EQ):
     part = partition_abc(problem, tol)
     up, dn = part.a_better, part.b_better
     a, b = problem.a, problem.b
-    ok = (np.min(b[dn]) >= np.max(a[up]) - tol) and (
-        np.min(a[dn]) >= np.max(b[up]) - tol
+    # fails[i, j]: the cross comparison of (up[i], dn[j]) breaks; both
+    # index lists ascend, so the first hit is the lexicographic first
+    fails = (b[dn][None, :] < a[up][:, None] - tol) | (
+        a[dn][None, :] < b[up][:, None] - tol
     )
-    if ok:
+    if not np.any(fails):
         return SafetyVerdict(safer=True)
-    for i in np.sort(up):
-        for j in np.sort(dn):
-            if b[j] < a[i] - tol or a[j] < b[i] - tol:
-                return SafetyVerdict(safer=False, witness=(int(i), int(j)))
-    raise AssertionError("inconsistent safety aggregation")  # pragma: no cover
+    i, j = np.unravel_index(np.argmax(fails), fails.shape)
+    return SafetyVerdict(safer=False, witness=(int(up[i]), int(dn[j])))
 
 
 def violation_margin(problem, tol=TAU_EQ):
@@ -328,10 +328,9 @@ def auction_partition(bid_a, bid_b, states, tol=TAU_EQ):
         raise BidOrderError(f"need bid_a > bid_b, got {bid_a} <= {bid_b}")
     both, pivotal, neither = [], [], []
     for idx, st in enumerate(states):
-        g = st.gamma
-        if bid_b > g + tol or (abs(bid_b - g) <= tol and st.tie_low):
+        if _wins(bid_b, st.gamma, st.tie_low, tol):
             both.append(idx)
-        elif bid_a < g - tol or (abs(bid_a - g) <= tol and not st.tie_high):
+        elif not _wins(bid_a, st.gamma, st.tie_high, tol):
             neither.append(idx)
         else:
             pivotal.append(idx)
@@ -342,30 +341,36 @@ def auction_partition(bid_a, bid_b, states, tol=TAU_EQ):
     )
 
 
+def _payoffs(bid, states, role, tol, pays_bid):
+    # winners pay their own bid (first price) or the threshold (second)
+    if role not in ("high", "low"):
+        raise ConfigError(f"role must be 'high' or 'low', got {role!r}")
+    out = np.empty(len(states))
+    for idx, st in enumerate(states):
+        flag = st.tie_high if role == "high" else st.tie_low
+        price = bid if pays_bid else st.gamma
+        out[idx] = st.value - price if _wins(bid, st.gamma, flag, tol) else st.outside
+    return out
+
+
 def fpa_payoffs(bid, states, role="high", tol=TAU_EQ):
     """First-price payoffs of one bid: value - bid if it wins, else outside.
 
     ``role`` selects which tie flag applies when the bid exactly equals
     a state's threshold ("high" or "low" member of the pair).
     """
-    if role not in ("high", "low"):
-        raise ConfigError(f"role must be 'high' or 'low', got {role!r}")
-    out = np.empty(len(states))
-    for idx, st in enumerate(states):
-        flag = st.tie_high if role == "high" else st.tie_low
-        out[idx] = st.value - bid if _wins(bid, st.gamma, flag, tol) else st.outside
-    return out
+    return _payoffs(bid, states, role, tol, pays_bid=True)
 
 
 def spa_payoffs(bid, states, role="high", tol=TAU_EQ):
     """Second-price payoffs: value - threshold if the bid wins, else outside."""
-    if role not in ("high", "low"):
-        raise ConfigError(f"role must be 'high' or 'low', got {role!r}")
-    out = np.empty(len(states))
-    for idx, st in enumerate(states):
-        flag = st.tie_high if role == "high" else st.tie_low
-        out[idx] = st.value - st.gamma if _wins(bid, st.gamma, flag, tol) else st.outside
-    return out
+    return _payoffs(bid, states, role, tol, pays_bid=False)
+
+
+def _check_invariant(holds, message):
+    # unlike ``assert``, survives ``python -O``
+    if not holds:
+        raise InvariantViolation(message)
 
 
 def check_winning_cannot_hurt(bid, states, tol=TAU_EQ):
@@ -407,15 +412,18 @@ def fpa_higher_bid_safer(bid_a, bid_b, states, tol=TAU_EQ):
 
     # structural facts for first price: winning twice at a higher price is
     # strictly worse, never winning is identical, strict gains need a win
-    assert set(apart.both) <= set(part.b_better)
-    assert set(apart.neither) <= set(part.equal)
-    assert set(part.a_better) <= set(apart.pivotal)
+    _check_invariant(set(apart.both) <= set(part.b_better),
+                     "winning with both bids must favour the low bid")
+    _check_invariant(set(apart.neither) <= set(part.equal),
+                     "losing with both bids must pay the same")
+    _check_invariant(set(part.a_better) <= set(apart.pivotal),
+                     "the high bid can only gain where it alone wins")
 
     cond_hurt = check_winning_cannot_hurt(bid_a, states, tol)
     cond_low = check_low_bids_better_winners(bid_a, bid_b, states, part, tol)
     verdict = is_safer(problem, tol)
-    if cond_hurt and cond_low:
-        assert verdict.safer, "sufficient conditions held but safety failed"
+    _check_invariant(verdict.safer or not (cond_hurt and cond_low),
+                     "sufficient conditions held but safety failed")
     return FpaSafetyReport(
         verdict=verdict,
         winning_cannot_hurt=cond_hurt,
@@ -453,12 +461,12 @@ def spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=True,
 
     # both bids pay the same price when both (or neither) win
     part = partition_abc(problem, tol)
-    assert set(apart.both) <= set(part.equal)
-    assert set(apart.neither) <= set(part.equal)
+    _check_invariant(set(apart.both) | set(apart.neither) <= set(part.equal),
+                     "both bids must pay the same where both or neither win")
 
     verdict = is_safer(problem, tol)
-    if constant:
-        assert verdict.safer, "known outside option must make the low bid safer"
+    _check_invariant(verdict.safer or not constant,
+                     "known outside option must make the low bid safer")
     return SpaSafetyReport(
         verdict=verdict,
         auction_partition=apart,

@@ -26,11 +26,10 @@ from .errors import (
     BracketError,
     ConfigError,
     DomainError,
-    NonmonotoneSolution,
     OrderingViolation,
     SolverWarning,
 )
-from .fpa import ComparisonReport, EquilibriumSolution
+from .fpa import ComparisonReport, EquilibriumSolution, check_monotone
 from .outcomes import ConstantOutside, DeterministicWin, OutsideOption, WinPayoff
 from .utility import LinearUtility, Utility, effective_utility
 from .values import ValueModel
@@ -105,12 +104,15 @@ class SPAScenario:
 def pivotal_expectation(scenario, v, b, utility=None):
     """Expected utility of winning at price b, conditional on being pivotal.
 
-    Averages u(W - b) over the win-payoff noise at type v.  Raises
-    ``DomainError`` when W - b leaves the utility's domain.
+    Averages u(W - b) over the win-payoff noise at type v; an array v gives
+    one value per type.  Raises ``DomainError`` when W - b leaves the domain.
     """
     u = scenario.effective_utility() if utility is None else utility
     offsets, weights = scenario.win_payoff.offsets()
-    return float(np.dot(weights, u.value(v + offsets - b)))
+    if isinstance(v, np.ndarray):  # one row of noise atoms per type
+        v, b = v[..., None], np.asarray(b)[..., None]
+    out = u.value(v + offsets - b) @ weights
+    return out if out.ndim else float(out)
 
 
 def _root_for_type(scenario, u, v, lo, hi, target):
@@ -206,44 +208,22 @@ def solve_spa(scenario):
         residuals[i] = resid
         scaled[i] = resid / (1.0 + abs(target))
 
-    diffs = np.diff(bids)
-    monotone = bool(np.all(diffs > 0))
-    if not monotone:
-        run = longest = 0
-        for d in diffs:
-            run = run + 1 if d <= 0 else 0
-            longest = max(longest, run)
-        if longest > 2:
-            raise NonmonotoneSolution(
-                f"bids decrease over {longest} consecutive grid cells"
-            )
-        warnings.warn(
-            "solved bids are not strictly increasing everywhere",
-            SolverWarning,
-            stacklevel=2,
-        )
-
     return EquilibriumSolution(
         grid=grid,
         bids=bids,
         residuals=residuals,
         derivative_check=float(np.max(scaled)),
-        monotone=monotone,
+        monotone=check_monotone(bids),
         v_floor=float(grid[0]),
         boundary_bid=float(bids[0]),
     )
 
 
-def solve_uniform_price(scenario):
-    """Uniform-price bids with single-unit demand.
-
-    The pivotal event is a tie at the bidder's own bid regardless of
-    how many units are sold, so the bid function is the single-unit one
-    evaluated on the same scenario.
-    """
-    if scenario.units < 1:
-        raise ConfigError(f"units must be a positive integer, got {scenario.units}")
-    return solve_spa(scenario)
+#: Uniform-price bids with single-unit demand.  The pivotal event is a
+#: tie at the bidder's own bid regardless of how many units are sold, so
+#: the bid function is the single-unit one evaluated on the same scenario
+#: (``SPAScenario`` validates ``units``).
+solve_uniform_price = solve_spa
 
 
 def compare_risk_aversion_spa(scenario):
@@ -260,17 +240,14 @@ def compare_risk_aversion_spa(scenario):
     bent = solve_spa(scenario)
     grid = base.grid
     uh = scenario.effective_utility()
-    s_grid = np.asarray(scenario.outside.value(grid), dtype=float)
-    if s_grid.ndim == 0:
-        s_grid = np.full_like(grid, float(s_grid))
-
-    slack = np.empty_like(grid)
-    for i, v in enumerate(grid):
-        try:
-            won = pivotal_expectation(scenario, v, base.bids[i], utility=uh)
-        except DomainError:
-            won = -np.inf
-        slack[i] = float(uh.value(s_grid[i])) - won
+    # a type with any noise atom outside the domain wins at -inf, even
+    # when that atom's weight is 0
+    offsets, _ = scenario.win_payoff.offsets()
+    surplus = grid[:, None] + offsets - base.bids[:, None]
+    inside = np.all(uh.domain_mask(surplus), axis=1)
+    won = np.full(grid.shape, -np.inf)
+    won[inside] = pivotal_expectation(scenario, grid[inside], base.bids[inside], utility=uh)
+    slack = uh.value(scenario.outside.value(grid)) - won
 
     report = ComparisonReport(
         grid=grid,

@@ -250,9 +250,6 @@ class ComposedUtility(Utility):
     def deriv(self, x):
         return self.outer.deriv(self.inner.value(x)) * self.inner.deriv(x)
 
-    def in_domain(self, x):
-        return bool(np.all(self.domain_mask(x)))
-
     def domain_mask(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         ok = np.atleast_1d(self.inner.domain_mask(arr))

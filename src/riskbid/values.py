@@ -190,11 +190,6 @@ class ValueModel:
         out = sum(w * d.cdf(t) for w, d in zip(self.weights, self.dists))
         return float(out) if np.ndim(out) == 0 else out
 
-    def marginal_pdf(self, t):
-        t = self._check_in_support(t)
-        out = sum(w * d.pdf(t) for w, d in zip(self.weights, self.dists))
-        return float(out) if np.ndim(out) == 0 else out
-
     def posterior(self, v):
         """Component weights conditional on observing one value v."""
         v = float(self._check_in_support(v, "conditioning value"))

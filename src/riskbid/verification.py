@@ -10,22 +10,23 @@ achievable gain.  Monte Carlo simulation independently replays the
 auction mechanics on sampled value profiles.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConfigError, DomainError, QuadratureError
+from .config import FORMATS
+from .errors import ConfigError
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_FORMATS = ("fpa", "spa", "uniform")
+#: audit gains at most this many relative ulps of the truthful utility
+#: are floating-point noise, not profitable deviations
+_ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 
 
 def _normalize_format(fmt):
     name = str(fmt).lower()
-    if name not in _FORMATS:
-        raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    if name not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     return name
 
 
@@ -44,82 +45,42 @@ def fpa_report_utility(scenario, solution, v, t):
     """Expected utility of type v reporting t against the solved schedule.
 
     Winning pays the own bid at the report; losing pays nothing and
-    yields the outside option.
+    yields the outside option.  ``t`` may be a scalar (returns a float)
+    or an array.  A report whose winning surplus leaves the utility's
+    domain is worth -inf.
     """
     u = scenario.effective_utility()
-    s_v = float(scenario.outside.value(v))
-    q = float(scenario.values.win_prob(v, t))
-    if q == 0.0:
-        return float(u.value(s_v))
-    b = float(solution.bid_at(t))
-    return q * float(u.value(v - b)) + (1.0 - q) * float(u.value(s_v))
+    u_s = float(u.value(scenario.outside.value(v)))
+    t = np.asarray(t, dtype=float)
+    q = np.asarray(scenario.values.win_prob(v, t), dtype=float)
+    vals = _masked_value(u, v - np.asarray(solution.bid_at(t), dtype=float))
+    with np.errstate(invalid="ignore"):
+        psi = np.where(q > 0.0, q * vals + (1.0 - q) * u_s, u_s)
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def spa_report_utility(scenario, solution, v, t):
     """Expected utility of type v reporting t when winners pay a rival bid.
 
     Integrates the win branch over the pivotal rival's density up to the
-    report, by adaptive quadrature, and adds the outside option weighted
-    by the losing probability.  Covers the multi-unit case through the
-    scenario's ``units``.
+    report and adds the outside option weighted by the losing
+    probability; covers the multi-unit case through the scenario's
+    ``units``.  ``t`` may be a scalar (returns a float) or an array, and
+    is clamped to the support.  The reports, plus the bottom of the
+    support, split the integral into fixed Gauss-Legendre panels summed
+    cumulatively, so a whole deviation sweep costs one pass.  A domain
+    breach anywhere in a report's win branch makes that report and all
+    larger ones -inf.
     """
     u = scenario.effective_utility()
     vm = scenario.values
+    units = scenario.units
     lo, hi = vm.support
-    t = min(max(float(t), lo), hi)
-    s_v = float(scenario.outside.value(v))
-    u_s = float(u.value(s_v))
-    if t <= lo:
-        return u_s
-    units = scenario.units
-    q = float(vm.kth_win_prob(units, v, t))
     offsets, wts = scenario.win_payoff.offsets()
+    u_s = float(u.value(scenario.outside.value(v)))
 
-    def integrand(z):
-        b = float(solution.bid_at(z))
-        m = float(np.dot(wts, u.value(v + offsets - b)))
-        return m * float(vm.kth_rival_density(units, v, z))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            win_term, _ = quad(integrand, lo, t, limit=200)
-        except IntegrationWarning as exc:
-            raise QuadratureError(
-                f"report-utility quadrature did not converge: {exc}"
-            ) from exc
-    return win_term + u_s * (1.0 - q)
-
-
-def _fpa_report_utilities(scenario, solution, v, ts):
-    """Vectorized fpa_report_utility over a report grid (domain-safe)."""
-    u = scenario.effective_utility()
-    s_v = float(scenario.outside.value(v))
-    u_s = float(u.value(s_v))
-    q = np.asarray(scenario.values.win_prob(v, ts), dtype=float)
-    x = v - np.asarray(solution.bid_at(ts), dtype=float)
-    vals = _masked_value(u, x)
-    psi = np.full(ts.shape, u_s)
-    nz = q > 0.0
-    psi[nz] = q[nz] * vals[nz] + (1.0 - q[nz]) * u_s
-    return psi
-
-
-def _spa_report_utilities_grid(scenario, solution, v, ts):
-    """Vectorized spa_report_utility over an ascending report grid.
-
-    Uses fixed Gauss-Legendre panels between consecutive grid points and
-    a cumulative sum, so the whole deviation sweep costs one pass.  A
-    domain breach anywhere in a report's win branch makes that report
-    and all larger ones -inf.
-    """
-    u = scenario.effective_utility()
-    vm = scenario.values
-    units = scenario.units
-    offsets, wts = scenario.win_payoff.offsets()
-    s_v = float(scenario.outside.value(v))
-    u_s = float(u.value(s_v))
-
+    t = np.clip(np.asarray(t, dtype=float), lo, hi)
+    ts, where = np.unique(np.concatenate([[lo], t.ravel()]), return_inverse=True)
     q = np.asarray(vm.kth_win_prob(units, v, ts), dtype=float)
     a, b = ts[:-1], ts[1:]
     half = 0.5 * (b - a)
@@ -138,7 +99,8 @@ def _spa_report_utilities_grid(scenario, solution, v, ts):
     win_term = np.concatenate([[0.0], np.cumsum(panel)])
     psi = win_term + u_s * (1.0 - q)
     psi[0] = u_s
-    return psi
+    out = psi[where[1:]].reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -207,9 +169,9 @@ def best_response_audit(
     for i, v in enumerate(types):
         ts = np.unique(np.concatenate([base_ts, [v]]))
         if fmt == "fpa":
-            psi = _fpa_report_utilities(scenario, solution, v, ts)
+            psi = fpa_report_utility(scenario, solution, v, ts)
         else:
-            psi = _spa_report_utilities_grid(scenario, solution, v, ts)
+            psi = spa_report_utility(scenario, solution, v, ts)
         i_v = int(np.searchsorted(ts, v))
         psi_self = psi[i_v]
         j = int(np.argmax(psi))
@@ -222,8 +184,10 @@ def best_response_audit(
             if probe_psi[k] > best:
                 best, t_star = probe_psi[k], np.nan
         gain = best - psi_self
-        if gain <= 0.0:
-            gain, t_star = max(gain, 0.0), v
+        floor = _ROUNDING_GAIN * max(1.0, abs(psi_self)) if np.isfinite(psi_self) else 0.0
+        if gain <= floor:
+            # no better report, or one within rounding of a finite psi_self
+            gain, t_star = 0.0, v
         best_reports[i] = t_star
         gains[i] = gain
         loc_ok[i] = np.isfinite(t_star) and abs(t_star - v) <= cell * (1 + 1e-9)
@@ -271,6 +235,22 @@ class StatsReport:
         }
 
 
+def _merge_moments(acc, x):
+    """Fold a chunk into running (count, sum, sum of squared deviations).
+
+    Uses the pairwise update of Chan, Golub & LeVeque (1979): each chunk
+    is centred on its own mean, so the variance stays accurate however
+    far the data sit from zero.
+    """
+    n_a, sum_a, m2_a = acc
+    n_b, sum_b = x.size, float(np.sum(x))
+    m2_b = float(np.sum((x - sum_b / n_b) ** 2))
+    if n_a:
+        delta = sum_b / n_b - sum_a / n_a
+        m2_b += delta * delta * n_a * n_b / (n_a + n_b)
+    return n_a + n_b, sum_a + sum_b, m2_a + m2_b
+
+
 def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_000):
     """Replay the auction on sampled profiles; accumulate revenue stats.
 
@@ -292,8 +272,7 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
     win_payoff = getattr(scenario, "win_payoff", None)
     rng = np.random.default_rng(seed)
 
-    sum_rev = sum_rev2 = 0.0
-    sum_util = sum_util2 = 0.0
+    rev_acc = util_acc = (0, 0.0, 0.0)
     eff_count = 0
     seat_wins = np.zeros(n)
 
@@ -342,24 +321,20 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
         top_vals = -np.sort(-vals, axis=1)
         eff_count += int(np.sum(win_vals.min(axis=1) >= top_vals[:, units - 1] - 1e-12))
 
-        sum_rev += float(np.sum(revenue))
-        sum_rev2 += float(np.sum(revenue**2))
-        sum_util += float(np.sum(round_util))
-        sum_util2 += float(np.sum(round_util**2))
+        rev_acc = _merge_moments(rev_acc, revenue)
+        util_acc = _merge_moments(util_acc, round_util)
         done += m
 
-    mean_rev = sum_rev / rounds
-    var_rev = max(sum_rev2 / rounds - mean_rev**2, 0.0)
-    mean_util = sum_util / rounds
-    var_util = max(sum_util2 / rounds - mean_util**2, 0.0)
+    _, sum_rev, m2_rev = rev_acc
+    _, sum_util, m2_util = util_acc
     return StatsReport(
         format=fmt,
         rounds=rounds,
         seed=seed,
-        mean_revenue=mean_rev,
-        se_revenue=float(np.sqrt(var_rev / rounds)),
-        mean_utility=mean_util,
-        se_utility=float(np.sqrt(var_util / rounds)),
+        mean_revenue=sum_rev / rounds,
+        se_revenue=float(np.sqrt(m2_rev / rounds / rounds)),
+        mean_utility=sum_util / rounds,
+        se_utility=float(np.sqrt(m2_util / rounds / rounds)),
         win_freq=list(seat_wins / rounds),
         efficiency=eff_count / rounds,
     )

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -324,4 +325,20 @@ def test_console_script(tmp_path):
     assert "solved fpa" in proc.stdout
     proc2 = subprocess.run([exe, "safety", "--config", cfg],
                            capture_output=True, text=True)
+    assert proc2.returncode == 3  # a scenario config is not a problem file
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m riskbid`` runs the same main as the console script
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    cmd = [sys.executable, "-m", "riskbid"]
+    cfg = write_cfg(tmp_path, FPA_CFG)
+    out = tmp_path / "run"
+    proc = subprocess.run(cmd + ["solve", "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "solved fpa" in proc.stdout
+    proc2 = subprocess.run(cmd + ["safety", "--config", cfg],
+                           capture_output=True, text=True, env=env)
     assert proc2.returncode == 3  # a scenario config is not a problem file

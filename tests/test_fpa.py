@@ -14,9 +14,11 @@ from riskbid import (
     EquilibriumSolution,
     FPAScenario,
     LinearUtility,
+    NonmonotoneSolution,
     NonpositiveSurplus,
     OrderingViolation,
     PowerDist,
+    SolverWarning,
     UniformDist,
     ValueModel,
     closed_form_crra_uniform,
@@ -24,6 +26,7 @@ from riskbid import (
     marginal_tradeoff,
     solve_fpa,
 )
+from riskbid.fpa import check_monotone
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 
@@ -157,6 +160,20 @@ def test_bid_extrapolation_rules():
     assert arr.shape == (2, 2)
 
 
+def test_check_monotone_rules():
+    def solver(bids):
+        return check_monotone(np.asarray(bids, dtype=float))
+
+    assert solver([0.0, 0.1, 0.2, 0.3]) is True
+    with pytest.warns(SolverWarning) as rec:
+        assert solver([0.0, 0.2, 0.1, 0.3, 0.4]) is False
+    assert rec[0].filename == __file__  # attributed to the solver's caller
+    with pytest.warns(SolverWarning):
+        assert solver([0.0, 0.2, 0.2, 0.1, 0.3]) is False  # two cells
+    with pytest.raises(NonmonotoneSolution, match="3 consecutive"):
+        solver([0.0, 0.3, 0.2, 0.2, 0.1, 0.4])
+
+
 def test_from_grid_round_trip():
     sol = solve_fpa(FPAScenario(values=UNIT3, utility=CRRAUtility(0.3), grid=129))
     rebuilt = EquilibriumSolution.from_grid(
@@ -183,6 +200,14 @@ def test_compare_bends_bids_up():
     assert rep.max_d > 1e-3               # strictly more aggressive somewhere
     assert rep.grid.shape == rep.beta.shape == rep.beta_hat.shape
     assert "tradeoff_gap" in rep.diagnostics
+    # the array columns match the pointwise marginal tradeoff
+    uh = scn.effective_utility()
+    for i in (0, 40, 128):
+        v = rep.grid[i]
+        assert rep.diagnostics["tradeoff_base"][i] == pytest.approx(
+            marginal_tradeoff(scn.utility, v - rep.beta[i], 0.0), rel=1e-14)
+        assert rep.diagnostics["tradeoff_bent"][i] == pytest.approx(
+            marginal_tradeoff(uh, v - rep.beta_hat[i], 0.0), rel=1e-14)
 
 
 def test_compare_linear_transform_is_identity():

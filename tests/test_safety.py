@@ -1,5 +1,10 @@
 """Unit tests for the finite-state safety relation and auction reports."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from riskbid import (
     DominancePrecondition,
     FiniteDecisionProblem,
     IdenticalActions,
+    InvariantViolation,
     LinearUtility,
     PreconditionError,
     StateRecord,
@@ -309,6 +315,75 @@ def test_spa_report_lower_bid_safer():
     rep = spa_lower_bid_safer(0.8, 0.4, states)
     assert rep.outside_constant
     assert rep.verdict.safer
+
+
+def _first_failing_pair(problem, tol=1e-9):
+    # reference: scan the cross pairs in lexicographic order
+    part = partition_abc(problem, tol)
+    a, b = problem.a, problem.b
+    for i in part.a_better:
+        for j in part.b_better:
+            if b[j] < a[i] - tol or a[j] < b[i] - tol:
+                return int(i), int(j)
+    return None
+
+
+def test_is_safer_witness_is_lexicographically_first():
+    # a wins in states 1 and 3, b in 0 and 2; the pairs (1, 0), (1, 2)
+    # pass and (3, 0) is the first that fails
+    prob = FiniteDecisionProblem([1.5, 2.0, 1.2, 9.0], [3.0, 1.0, 2.5, 0.5])
+    assert is_safer(prob).witness == (3, 0)
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(300):
+        prob = random_problem(rng, max_states=7)
+        if check_dominance(prob) is not Dominance.NONE:
+            continue
+        verdict = is_safer(prob)
+        ref = _first_failing_pair(prob)
+        assert verdict.safer == (ref is None)
+        assert verdict.witness == ref
+        checked += 1
+    assert checked > 100
+
+
+_SPA_SAFE_STATES = [
+    StateRecord(gamma=0.5, value=1.2, outside=0.2),
+    StateRecord(gamma=0.6, value=0.5, outside=0.2),
+    StateRecord(gamma=0.1, value=1.0, outside=0.2),
+    StateRecord(gamma=0.9, value=1.0, outside=0.2),
+]
+
+
+def test_spa_report_broken_guarantee_raises_invariant_violation(monkeypatch):
+    # a constant outside option guarantees the low bid is safer; a
+    # verdict that says otherwise is a library bug, not a user error
+    import riskbid.safety
+
+    monkeypatch.setattr(riskbid.safety, "is_safer",
+                        lambda problem, tol=None: riskbid.safety.SafetyVerdict(safer=False))
+    with pytest.raises(InvariantViolation, match="low bid safer"):
+        spa_lower_bid_safer(0.8, 0.4, _SPA_SAFE_STATES)
+
+
+def test_invariant_check_survives_optimize_flag():
+    script = textwrap.dedent("""
+        import riskbid.safety as s
+        from riskbid import InvariantViolation, StateRecord
+
+        s.is_safer = lambda problem, tol=None: s.SafetyVerdict(safer=False)
+        states = [StateRecord(*row) for row in %r]
+        try:
+            s.spa_lower_bid_safer(0.8, 0.4, states)
+        except InvariantViolation:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """ % [(st.gamma, st.value, st.outside) for st in _SPA_SAFE_STATES])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spa_report_dominance_when_all_pivotal_wins_gain():

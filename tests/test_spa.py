@@ -229,3 +229,38 @@ def test_compare_sharper_bend_shades_more():
     d1 = compare_risk_aversion_spa(base).min_d
     d2 = compare_risk_aversion_spa(sharp).min_d
     assert d2 < d1 < 0
+
+
+def test_compare_slack_is_minus_inf_win_for_out_of_domain_atoms():
+    # the atom at -5 has weight 0 but still pushes low types' baseline
+    # surplus out of the transform's domain: those rows must win at -inf
+    # (slack +inf), never NaN, which would hide failing rows from the
+    # slack check
+    noise = DiscreteNoise([-5.0, -1.0, 1.0], [0.0, 0.5, 0.5])
+    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=0.8),
+                      outside=AffineOutside(0.0, 0.5),
+                      win_payoff=NoisyWin(noise, scale=0.2), grid=65)
+    rep = compare_risk_aversion_spa(scn)
+    slack = rep.diagnostics["pivotal_slack"]
+    assert not np.any(np.isnan(slack))
+    breach = rep.grid - 1.0 - rep.beta + 0.8 < 0.0
+    assert 0 < breach.sum() < breach.size
+    np.testing.assert_array_equal(np.isposinf(slack), breach)
+    uh = scn.effective_utility()
+    for v, b, s in zip(rep.grid[~breach], rep.beta[~breach], slack[~breach]):
+        won = pivotal_expectation(scn, v, b, utility=uh)
+        assert s == pytest.approx(uh.value(0.5 * v) - won, abs=1e-14)
+
+
+def test_pivotal_expectation_array_matches_scalar():
+    scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0),
+                      win_payoff=NoisyWin(DiscreteNoise([-1.0, 1.0], [0.25, 0.75]),
+                                          scale=0.2), grid=65)
+    vs = np.linspace(0.0, 1.0, 9)
+    bs = 0.8 * vs
+    arr = pivotal_expectation(scn, vs, bs)
+    assert arr.shape == vs.shape
+    for v, b, x in zip(vs, bs, arr):
+        # the array form sums atoms as a matrix-vector product, so it may
+        # differ from the scalar dot product in the last bit
+        assert pivotal_expectation(scn, float(v), float(b)) == pytest.approx(x, rel=1e-14)

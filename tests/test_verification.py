@@ -1,16 +1,21 @@
 """Unit tests for report-utility curves, audits, and Monte Carlo runs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from riskbid import (
+    CARAUtility,
     CRRAUtility,
     DiscreteNoise,
     EquilibriumSolution,
     FPAScenario,
+    LogUtility,
     NoisyWin,
+    PowerDist,
     SPAScenario,
     UniformDist,
     ValueModel,
@@ -26,6 +31,33 @@ from riskbid import (
 
 U2 = ValueModel.iid(UniformDist(0.0, 1.0), 2)
 U3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
+
+
+def spa_report_utility_quad(scenario, solution, v, t):
+    """Independent oracle for ``spa_report_utility``: adaptive quadrature
+    of the win branch over the pivotal rival's density up to the
+    (clamped) report, plus the outside option times the losing
+    probability."""
+    u = scenario.effective_utility()
+    vm = scenario.values
+    lo, hi = vm.support
+    t = min(max(float(t), lo), hi)
+    u_s = float(u.value(float(scenario.outside.value(v))))
+    if t <= lo:
+        return u_s
+    units = scenario.units
+    q = float(vm.kth_win_prob(units, v, t))
+    offsets, wts = scenario.win_payoff.offsets()
+
+    def integrand(z):
+        b = float(solution.bid_at(z))
+        m = float(np.dot(wts, u.value(v + offsets - b)))
+        return m * float(vm.kth_rival_density(units, v, z))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        win_term, _ = quad(integrand, lo, t, limit=200)
+    return win_term + u_s * (1.0 - q)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +129,64 @@ def test_report_clamps_to_support(spa_pair):
     )
 
 
+_NOISE = NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), scale=0.2)
+_ORACLE_SCENARIOS = {
+    "iid_uniform": SPAScenario(values=U3, transform=CRRAUtility(0.5, shift=2.0),
+                               win_payoff=_NOISE, grid=129),
+    "power_mixture": SPAScenario(
+        values=ValueModel.mixture([(0.6, UniformDist(0.0, 1.0)),
+                                   (0.4, PowerDist(2.0, 0.0, 1.0))], 3),
+        transform=CARAUtility(2.0), win_payoff=_NOISE, grid=129),
+    "two_unit_uniform_price": SPAScenario(
+        values=ValueModel.iid(PowerDist(2.0, 0.0, 1.0), 4),
+        utility=LogUtility(shift=1.5), units=2, grid=129),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SCENARIOS))
+def test_spa_report_utility_matches_quad_oracle(name):
+    scn = _ORACLE_SCENARIOS[name]
+    sol = solve_spa(scn)
+    pairs = [(0.3, 0.3), (0.6, 0.45), (0.6, 0.8), (0.9, 1.0), (0.2, 0.7),
+             (0.5, 0.0), (0.4, 1.3)]
+    for v, t in pairs:
+        got = spa_report_utility(scn, sol, v, t)
+        assert isinstance(got, float)
+        assert got == pytest.approx(spa_report_utility_quad(scn, sol, v, t),
+                                    abs=1e-8), (v, t)
+    # one array call agrees with the scalar calls, in the caller's shape
+    ts = np.array([[0.7, 0.1], [1.2, 0.45]])
+    batch = spa_report_utility(scn, sol, 0.6, ts)
+    assert batch.shape == ts.shape
+    for t, got in zip(ts.ravel(), batch.ravel()):
+        assert got == pytest.approx(spa_report_utility(scn, sol, 0.6, t), abs=1e-10)
+
+
+def test_fpa_report_utility_scalar_and_array_agree(fpa_pair):
+    scn, sol = fpa_pair
+    ts = np.linspace(0.0, 1.0, 11)
+    batch = fpa_report_utility(scn, sol, 0.6, ts)
+    assert batch.shape == ts.shape
+    for t, got in zip(ts, batch):
+        scalar = fpa_report_utility(scn, sol, 0.6, t)
+        assert isinstance(scalar, float)
+        assert scalar == got
+
+
+def test_report_utility_out_of_domain_is_minus_inf():
+    # bids above value leave power utility's domain: -inf, not an error
+    grid = np.linspace(0.0, 1.0, 65)
+    over = EquilibriumSolution.from_grid(grid, grid + 0.5)
+    fscn = FPAScenario(values=U2, utility=CRRAUtility(0.5), grid=65)
+    assert fpa_report_utility(fscn, over, 0.6, 0.8) == -np.inf
+    assert fpa_report_utility(fscn, over, 0.6, 0.0) == 0.0  # never wins
+    sscn = SPAScenario(values=U2, utility=CRRAUtility(0.5), grid=65)
+    psi = spa_report_utility(sscn, over, 0.6, np.array([0.0, 0.05, 0.2, 0.9]))
+    assert psi[0] == 0.0
+    assert np.isfinite(psi[1])  # every bid below 0.55 keeps surplus
+    assert np.all(psi[2:] == -np.inf)
+
+
 # ---------------------------------------------------------------------------
 # best-response audits
 # ---------------------------------------------------------------------------
@@ -139,6 +229,35 @@ def test_audit_fails_on_corrupted_spa(spa_pair):
     bad = EquilibriumSolution.from_grid(sol.grid, np.minimum(sol.bids * 1.2, 2.0))
     rep = best_response_audit("spa", scn, bad)
     assert not rep.passed
+
+
+def test_audit_ignores_rounding_level_gain():
+    # the truthful report is flat to rounding at the bottom type; a gain
+    # of a few ulps two cells away is not a profitable deviation
+    vm = ValueModel.iid(PowerDist(2.762113268369622, 0.0, 1.0), 3)
+    scn = SPAScenario(
+        values=vm,
+        transform=CRRAUtility(0.6500456453866623, shift=2.3316354279413725),
+        win_payoff=NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]),
+                            scale=0.21985062388738663),
+        grid=1025,
+    )
+    rep = best_response_audit("spa", scn, solve_spa(scn))
+    assert rep.passed
+    assert rep.max_gain == 0.0
+    assert rep.best_reports[0] == rep.types[0]
+
+
+@pytest.mark.parametrize("fmt, scenario_cls", [("fpa", FPAScenario), ("spa", SPAScenario)])
+def test_audit_fails_when_truthful_report_leaves_domain(fmt, scenario_cls):
+    # every bid is above its value, so a truthful win has negative surplus
+    # and psi_self is -inf; the rounding floor must not turn that into 0
+    scn = scenario_cls(values=U2, utility=CRRAUtility(0.5), grid=65)
+    grid = np.linspace(0.0, 1.0, 65)
+    bad = EquilibriumSolution.from_grid(grid, grid + 0.5)
+    rep = best_response_audit(fmt, scn, bad)
+    assert not rep.passed
+    assert rep.max_gain == np.inf
 
 
 def test_audit_report_shape_and_json(fpa_pair):
@@ -219,6 +338,19 @@ def test_mc_chunking_consistency(fpa_pair):
     assert a.mean_revenue == a2.mean_revenue
     b = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4, chunk_size=30_000)
     assert abs(a.mean_revenue - b.mean_revenue) < 3 * (a.se_revenue + b.se_revenue)
+
+
+def test_mc_standard_error_is_shift_invariant():
+    # shifting every value by 1e8 shifts revenue but not its spread; a
+    # sum-of-squares variance cancels to 0.0 at this offset
+    def replay(lo):
+        scn = SPAScenario(values=ValueModel.iid(UniformDist(lo, lo + 1.0), 2))
+        return monte_carlo_auction("spa", scn, solve_spa(scn), 1_000_000, seed=11)
+
+    base, shifted = replay(0.0), replay(1e8)
+    assert base.se_revenue > 0.0
+    assert shifted.se_revenue == pytest.approx(base.se_revenue, rel=1e-3)
+    assert shifted.se_utility == pytest.approx(base.se_utility, rel=1e-3)
 
 
 def test_mc_zero_rounds(fpa_pair):
