@@ -244,11 +244,7 @@ def cmd_audit(args):
     fmt, scenario, canonical = build_scenario(load_config(args.config))
     solution = _load_solution(fmt, scenario, args.out)
     report = best_response_audit(
-        fmt,
-        scenario,
-        solution,
-        audit_tol=canonical["tolerances"]["audit_tol"],
-        seed=canonical["seed"],
+        fmt, scenario, solution, audit_tol=canonical["tolerances"]["audit_tol"]
     )
     _write_json(os.path.join(args.out, "audit.json"), report.to_json())
     print(

@@ -198,7 +198,11 @@ class EquilibriumSolution:
 
     @classmethod
     def from_grid(cls, grid, bids, residuals=None, v_floor=None, boundary_bid=None):
-        """Rebuild a solution from tabulated values (e.g. a CSV round trip)."""
+        """Rebuild a solution from tabulated values (e.g. a CSV round trip).
+
+        ``derivative_check`` is the unscaled maximum |residual| over all
+        points, not the solver's scaled maximum over interior points.
+        """
         grid = np.asarray(grid, dtype=float)
         bids = np.asarray(bids, dtype=float)
         if residuals is None:

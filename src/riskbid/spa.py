@@ -9,7 +9,9 @@ winning at their own bid and the outside option:
     E[ u(W - b) | pivotal ] = u(s(v)),
 
 where W is the (possibly noisy) payoff of winning.  The left side is
-strictly decreasing in b, so each type's bid is found by bisection.
+strictly decreasing in b, so the bids are found by bisection: one array
+bisection over all grid types, each narrowing its own bracket, with a
+(types x noise atoms) surplus matrix evaluated at every step.
 The same logic covers the uniform-price auction selling several
 identical units at the highest losing bid: the pivotal event is again a
 tie at the bidder's own bid, so the bid function coincides with the
@@ -25,7 +27,6 @@ import numpy as np
 from .errors import (
     BracketError,
     ConfigError,
-    DomainError,
     OrderingViolation,
     SolverWarning,
 )
@@ -104,115 +105,112 @@ class SPAScenario:
 def pivotal_expectation(scenario, v, b, utility=None):
     """Expected utility of winning at price b, conditional on being pivotal.
 
-    Averages u(W - b) over the win-payoff noise at type v; an array v gives
-    one value per type.  Raises ``DomainError`` when W - b leaves the domain.
+    Averages u(W - b) over the win-payoff noise at type v.  A scalar v
+    raises ``DomainError`` when W - b leaves the domain.  An array v gives
+    one value per type, ``-inf`` for a type with any noise atom outside
+    the domain (even at weight 0): that bid is certainly too high.
     """
     u = scenario.effective_utility() if utility is None else utility
     offsets, weights = scenario.win_payoff.offsets()
-    if isinstance(v, np.ndarray):  # one row of noise atoms per type
-        v, b = v[..., None], np.asarray(b)[..., None]
-    out = u.value(v + offsets - b) @ weights
+    if not isinstance(v, np.ndarray):
+        out = u.value(v + offsets - b) @ weights
+        return out if out.ndim else float(out)
+    surplus = v[..., None] + offsets - np.asarray(b)[..., None]
+    inside = np.all(u.domain_mask(surplus), axis=-1)
+    out = np.full(inside.shape, -np.inf)
+    if np.any(inside):
+        out[inside] = u.value(surplus[inside]) @ weights
     return out if out.ndim else float(out)
-
-
-def _root_for_type(scenario, u, v, lo, hi, target):
-    """Bisect the indifference condition for one type.
-
-    Returns ("ok", bid, residual) on success or ("lo"/"hi", None, None)
-    when the bracket end on that side fails its sign check.
-    """
-    tol = scenario.root_tol
-    resid_tol = tol * (1.0 + abs(target))
-
-    def gap(b):
-        try:
-            return pivotal_expectation(scenario, v, b, utility=u) - target
-        except DomainError:
-            # the winning surplus fell out of the utility's domain:
-            # the bid is certainly too high
-            return -np.inf
-
-    f_lo = gap(lo)
-    if f_lo < 0.0:
-        if abs(f_lo) <= resid_tol:
-            return "ok", lo, abs(f_lo)
-        return "lo", None, None
-    f_hi = gap(hi)
-    if f_hi > 0.0:
-        if f_hi <= resid_tol:
-            return "ok", hi, f_hi
-        return "hi", None, None
-    if f_lo == 0.0:
-        return "ok", lo, 0.0
-    if f_hi == 0.0:
-        return "ok", hi, 0.0
-
-    a, fa, c = lo, f_lo, hi
-    mid, f_mid = a, fa
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (a + c)
-        f_mid = gap(mid)
-        width_ok = (c - a) <= tol * max(1.0, abs(mid))
-        if width_ok and (np.isfinite(f_mid) and abs(f_mid) <= resid_tol):
-            return "ok", mid, abs(f_mid)
-        if width_ok and not np.isfinite(f_mid):
-            # root pinned against the utility's domain edge
-            return "ok", a, abs(fa)
-        if f_mid > 0.0:
-            a, fa = mid, f_mid
-        else:
-            c = mid
-    warnings.warn(
-        f"indifference residual {abs(f_mid):.3e} above tolerance at type {v:g}",
-        SolverWarning,
-        stacklevel=2,
-    )
-    return "ok", mid, abs(f_mid) if np.isfinite(f_mid) else abs(fa)
 
 
 def solve_spa(scenario):
     """Solve the pivotal-indifference condition on the reporting grid.
 
-    Returns an :class:`EquilibriumSolution` whose ``residuals`` column
-    holds the absolute indifference gap at each solved bid.
+    All grid types are bisected together, each inside its own bracket:
+    a type whose bracket end fails its sign check has that end widened
+    (up to ``_MAX_WIDEN`` times), and every step evaluates the still
+    active types in one ``pivotal_expectation`` call.  Returns an
+    :class:`EquilibriumSolution` whose ``residuals`` column holds the
+    absolute indifference gap at each solved bid.
     """
     u = scenario.effective_utility()
     grid = scenario.report_grid()
     s_grid = np.asarray(scenario.outside.value(grid), dtype=float)
     if s_grid.ndim == 0:
         s_grid = np.full_like(grid, float(s_grid))
+    target = u.value(s_grid)
+    tol = scenario.root_tol
+    resid_tol = tol * (1.0 + np.abs(target))
+
+    def gap(rows, b):
+        return pivotal_expectation(scenario, grid[rows], b, utility=u) - target[rows]
 
     lo0, hi0 = scenario.bracket if scenario.bracket is not None else scenario.default_bracket()
+    lo, hi = np.full_like(grid, lo0), np.full_like(grid, hi0)
+    f_lo, bids, residuals = np.empty_like(grid), np.empty_like(grid), np.empty_like(grid)
+    todo, inner = np.arange(grid.size), []
+    for attempt in range(_MAX_WIDEN + 1):
+        fl = f_lo[todo] = gap(todo, lo[todo])
+        neg = fl < 0.0
+        fh = np.full_like(fl, np.nan)  # the hi end is only tried when lo passes
+        fh[~neg] = gap(todo[~neg], hi[todo[~neg]])
+        pos = fh > 0.0
+        # the scalar checks in order: a failing end is widened, a small or
+        # exactly zero gap at an end is the bid, the rest are bisected
+        bad_lo = neg & ~(np.abs(fl) <= resid_tol[todo])
+        bad_hi = pos & ~(fh <= resid_tol[todo])
+        at_lo = (neg & ~bad_lo) | (~pos & (fl == 0.0))
+        at_hi = (pos & ~bad_hi) | ((fh == 0.0) & (fl != 0.0))
+        for end, f, at in ((lo, fl, at_lo), (hi, fh, at_hi)):
+            bids[todo[at]], residuals[todo[at]] = end[todo[at]], np.abs(f[at])
+        fail = bad_lo | bad_hi
+        inner.append(todo[~(fail | at_lo | at_hi)])
+        if not np.any(fail):
+            break
+        if attempt == _MAX_WIDEN:
+            i = todo[fail][0]
+            raise BracketError(
+                f"could not bracket the indifference root for type {grid[i]:g} "
+                f"after widening to [{lo[i]:g}, {hi[i]:g}]"
+            )
+        width = hi - lo
+        lo[todo[bad_lo]] -= width[todo[bad_lo]]
+        hi[todo[bad_hi]] += width[todo[bad_hi]]
+        todo = todo[fail]
 
-    bids = np.empty_like(grid)
-    residuals = np.empty_like(grid)
-    scaled = np.empty_like(grid)
-    for i, v in enumerate(grid):
-        target = float(u.value(s_grid[i]))
-        lo, hi = lo0, hi0
-        for attempt in range(_MAX_WIDEN + 1):
-            status, bid, resid = _root_for_type(scenario, u, v, lo, hi, target)
-            if status == "ok":
-                break
-            if attempt == _MAX_WIDEN:
-                raise BracketError(
-                    f"could not bracket the indifference root for type {v:g} "
-                    f"after widening to [{lo:g}, {hi:g}]"
-                )
-            width = hi - lo
-            if status == "lo":
-                lo -= width
-            else:
-                hi += width
-        bids[i] = bid
-        residuals[i] = resid
-        scaled[i] = resid / (1.0 + abs(target))
+    rows = np.sort(np.concatenate(inner))
+    a, fa, c = lo[rows], f_lo[rows], hi[rows]
+    for _ in range(_MAX_BISECT):
+        if rows.size == 0:
+            break
+        mid = 0.5 * (a + c)
+        f_mid = gap(rows, mid)
+        width_ok = (c - a) <= tol * np.maximum(1.0, np.abs(mid))
+        finite = np.isfinite(f_mid)
+        hit = width_ok & finite & (np.abs(f_mid) <= resid_tol[rows])
+        pin = width_ok & ~finite  # root pinned against the utility's domain edge
+        bids[rows[hit]], residuals[rows[hit]] = mid[hit], np.abs(f_mid[hit])
+        bids[rows[pin]], residuals[rows[pin]] = a[pin], np.abs(fa[pin])
+        up = f_mid > 0.0
+        a, fa, c = np.where(up, mid, a), np.where(up, f_mid, fa), np.where(up, c, mid)
+        keep = ~(hit | pin)
+        rows, a, fa, c, mid, f_mid = rows[keep], a[keep], fa[keep], c[keep], mid[keep], f_mid[keep]
+    if rows.size:
+        bids[rows] = mid
+        residuals[rows] = np.where(np.isfinite(f_mid), np.abs(f_mid), np.abs(fa))
+        warnings.warn(
+            f"indifference residual above tolerance after {_MAX_BISECT} bisection "
+            f"steps at {rows.size} of {grid.size} types (worst "
+            f"{np.max(residuals[rows]):.3e}, first at type {grid[rows[0]]:g})",
+            SolverWarning,
+            stacklevel=2,
+        )
 
     return EquilibriumSolution(
         grid=grid,
         bids=bids,
         residuals=residuals,
-        derivative_check=float(np.max(scaled)),
+        derivative_check=float(np.max(residuals / (1.0 + np.abs(target)))),
         monotone=check_monotone(bids),
         v_floor=float(grid[0]),
         boundary_bid=float(bids[0]),
@@ -240,13 +238,7 @@ def compare_risk_aversion_spa(scenario):
     bent = solve_spa(scenario)
     grid = base.grid
     uh = scenario.effective_utility()
-    # a type with any noise atom outside the domain wins at -inf, even
-    # when that atom's weight is 0
-    offsets, _ = scenario.win_payoff.offsets()
-    surplus = grid[:, None] + offsets - base.bids[:, None]
-    inside = np.all(uh.domain_mask(surplus), axis=1)
-    won = np.full(grid.shape, -np.inf)
-    won[inside] = pivotal_expectation(scenario, grid[inside], base.bids[inside], utility=uh)
+    won = pivotal_expectation(scenario, grid, base.bids, utility=uh)
     slack = uh.value(scenario.outside.value(grid)) - won
 
     report = ComparisonReport(

@@ -115,7 +115,6 @@ class AuditReport:
     passed: bool
     audit_tol: float
     deviation_grid_size: int
-    seed: int = 0
 
     def to_json(self):
         return {
@@ -124,7 +123,6 @@ class AuditReport:
             "max_gain": float(self.max_gain),
             "audit_tol": float(self.audit_tol),
             "deviation_grid_size": int(self.deviation_grid_size),
-            "seed": int(self.seed),
             "types": [float(x) for x in self.types],
             "best_reports": [float(x) for x in self.best_reports],
             "gains": [float(x) for x in self.gains],
@@ -138,7 +136,6 @@ def best_response_audit(
     type_grid_size=33,
     deviation_grid_size=512,
     audit_tol=1e-6,
-    seed=0,
 ):
     """Sweep report deviations for a grid of types; measure the best gain.
 
@@ -203,7 +200,6 @@ def best_response_audit(
         passed=passed,
         audit_tol=float(audit_tol),
         deviation_grid_size=int(deviation_grid_size),
-        seed=int(seed),
     )
 
 

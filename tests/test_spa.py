@@ -14,8 +14,10 @@ from riskbid import (
     ConfigError,
     CRRAUtility,
     DiscreteNoise,
+    DomainError,
     LinearUtility,
     NoisyWin,
+    SolverWarning,
     SPAScenario,
     TruncatedNormalNoise,
     UniformDist,
@@ -25,9 +27,102 @@ from riskbid import (
     solve_spa,
     solve_uniform_price,
 )
+from riskbid.spa import _MAX_BISECT, _MAX_WIDEN
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 TWO_POINT = DiscreteNoise([-1.0, 1.0], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: one type at a time, one pivotal_expectation call per step
+# ---------------------------------------------------------------------------
+
+def _reference_root(scenario, u, v, lo, hi, target):
+    """Bisect the indifference condition for one type.
+
+    Returns ("ok", bid, residual) on success or ("lo"/"hi", None, None)
+    when the bracket end on that side fails its sign check.
+    """
+    tol = scenario.root_tol
+    resid_tol = tol * (1.0 + abs(target))
+
+    def gap(b):
+        try:
+            return pivotal_expectation(scenario, v, b, utility=u) - target
+        except DomainError:
+            return -np.inf
+
+    f_lo = gap(lo)
+    if f_lo < 0.0:
+        if abs(f_lo) <= resid_tol:
+            return "ok", lo, abs(f_lo)
+        return "lo", None, None
+    f_hi = gap(hi)
+    if f_hi > 0.0:
+        if f_hi <= resid_tol:
+            return "ok", hi, f_hi
+        return "hi", None, None
+    if f_lo == 0.0:
+        return "ok", lo, 0.0
+    if f_hi == 0.0:
+        return "ok", hi, 0.0
+
+    a, fa, c = lo, f_lo, hi
+    mid, f_mid = a, fa
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (a + c)
+        f_mid = gap(mid)
+        width_ok = (c - a) <= tol * max(1.0, abs(mid))
+        if width_ok and (np.isfinite(f_mid) and abs(f_mid) <= resid_tol):
+            return "ok", mid, abs(f_mid)
+        if width_ok and not np.isfinite(f_mid):
+            return "ok", a, abs(fa)
+        if f_mid > 0.0:
+            a, fa = mid, f_mid
+        else:
+            c = mid
+    return "ok", mid, abs(f_mid) if np.isfinite(f_mid) else abs(fa)
+
+
+def reference_solve_spa(scenario):
+    """(bids, residuals) by scalar bisection, one type at a time; raises
+    ``BracketError`` with the solver's message."""
+    u = scenario.effective_utility()
+    grid = scenario.report_grid()
+    s_grid = np.broadcast_to(np.asarray(scenario.outside.value(grid), dtype=float),
+                             grid.shape)
+    lo0, hi0 = scenario.bracket if scenario.bracket is not None else scenario.default_bracket()
+    bids = np.empty_like(grid)
+    residuals = np.empty_like(grid)
+    for i, v in enumerate(grid):
+        target = float(u.value(s_grid[i]))
+        lo, hi = lo0, hi0
+        for attempt in range(_MAX_WIDEN + 1):
+            status, bid, resid = _reference_root(scenario, u, v, lo, hi, target)
+            if status == "ok":
+                break
+            if attempt == _MAX_WIDEN:
+                raise BracketError(
+                    f"could not bracket the indifference root for type {v:g} "
+                    f"after widening to [{lo:g}, {hi:g}]"
+                )
+            width = hi - lo
+            if status == "lo":
+                lo -= width
+            else:
+                hi += width
+        bids[i] = bid
+        residuals[i] = resid
+    return bids, residuals
+
+
+def assert_matches_reference(scenario, sol):
+    bids, residuals = reference_solve_spa(scenario)
+    np.testing.assert_array_equal(sol.bids, bids)
+    # atoms are summed as one matrix-vector product instead of one dot
+    # product per type, so residuals may differ in the last bits of a sum
+    # of up to 64 terms of order 1
+    np.testing.assert_allclose(sol.residuals, residuals, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +233,52 @@ def test_bracket_widening_rescues_offset_bracket():
 def test_bracket_far_from_root_fails():
     with pytest.raises(BracketError):
         solve_spa(SPAScenario(values=UNIT3, bracket=(100.0, 100.1)))
+
+
+def test_mixed_widening_matches_reference():
+    # bids run from about -0.04 to 0.96: low types widen the lower end,
+    # high types the upper end, and the middle types need no widening
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(2.0),
+                      win_payoff=NoisyWin(TWO_POINT, scale=0.2),
+                      bracket=(0.3, 0.6), grid=65)
+    sol = solve_spa(scn)
+    assert np.any(sol.bids < 0.3) and np.any(sol.bids > 0.6)
+    assert np.any((sol.bids > 0.3) & (sol.bids < 0.6))
+    assert_matches_reference(scn, sol)
+
+
+def test_bracket_error_names_first_unbracketed_type():
+    # four widenings of [0, 0.01] reach [0, 0.16]: truthful types up to
+    # 0.16 are solved, the first grid type above it cannot be bracketed
+    scn = SPAScenario(values=UNIT3, bracket=(0.0, 0.01), grid=64)
+    with pytest.raises(BracketError) as new:
+        solve_spa(scn)
+    with pytest.raises(BracketError) as ref:
+        reference_solve_spa(scn)
+    assert str(new.value) == str(ref.value)
+    first = scn.report_grid()[11]
+    assert f"type {first:g} after widening to [0, 0.16]" in str(new.value)
+
+
+def test_one_warning_per_solve_at_bisection_cap():
+    # no bracket narrows to 1e-300, so every type runs into _MAX_BISECT
+    scn = SPAScenario(values=UNIT3, grid=64, root_tol=1e-300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_spa(scn)
+    hits = [w for w in caught if issubclass(w.category, SolverWarning)]
+    assert len(hits) == 1
+    msg = str(hits[0].message)
+    assert "at 64 of 64 types" in msg and "first at type 0)" in msg
+    assert f"worst {sol.residuals.max():.3e}" in msg
+    assert hits[0].filename == __file__  # attributed to the caller
+    assert_matches_reference(scn, sol)
+
+
+def test_bids_match_scalar_reference(spa_solutions):
+    for scn, base, bent in spa_solutions.values():
+        assert_matches_reference(replace(scn, transform=None), base)
+        assert_matches_reference(scn, bent)
 
 
 def test_domain_edge_pins_bid():
@@ -264,3 +405,17 @@ def test_pivotal_expectation_array_matches_scalar():
         # the array form sums atoms as a matrix-vector product, so it may
         # differ from the scalar dot product in the last bit
         assert pivotal_expectation(scn, float(v), float(b)) == pytest.approx(x, rel=1e-14)
+
+
+def test_pivotal_expectation_array_is_minus_inf_out_of_domain():
+    # the -1 atom has weight 0 but still leaves CRRA's domain at b = v
+    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5),
+                      win_payoff=NoisyWin(DiscreteNoise([-1.0, 1.0], [0.0, 1.0]),
+                                          scale=0.2), grid=65)
+    vs = np.array([0.5, 0.5, 0.5])
+    arr = pivotal_expectation(scn, vs, np.array([0.0, 0.5, 0.2]))
+    assert arr[1] == -np.inf and np.all(np.isfinite(arr[[0, 2]]))
+    assert arr[0] == pytest.approx(pivotal_expectation(scn, 0.5, 0.0), rel=1e-14)
+    with pytest.raises(DomainError):
+        pivotal_expectation(scn, 0.5, 0.5)
+    assert pivotal_expectation(scn, np.empty(0), np.empty(0)).shape == (0,)
