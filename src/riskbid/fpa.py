@@ -220,18 +220,19 @@ class EquilibriumSolution:
 
 
 def _interpolant_slope(dense, t, span):
-    """Derivative of the integrator's dense output, staying inside one piece.
+    """Derivative of the integrator's dense output at each point of t.
 
     The dense output is piecewise polynomial between accepted steps;
-    differencing inside a single piece avoids both interpolation seams
+    one ``searchsorted`` picks each point's piece, and a central
+    difference kept inside that piece avoids both interpolation seams
     and any circular use of the vector field.
     """
     ts = dense.ts
-    j = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
+    j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     lo, hi = ts[j], ts[j + 1]
-    h = min(1e-5 * span, (hi - lo) / 8.0)
-    c = min(max(t, lo + h), hi - h)
-    return float((dense(c + h)[0] - dense(c - h)[0]) / (2.0 * h))
+    h = np.minimum(1e-5 * span, (hi - lo) / 8.0)
+    c = np.minimum(np.maximum(t, lo + h), hi - h)
+    return (dense(c + h)[0] - dense(c - h)[0]) / (2.0 * h)
 
 
 def check_monotone(bids):
@@ -268,6 +269,11 @@ def solve_fpa(scenario):
     resolved, ``DomainError`` when the utility domain is breached during
     integration, and ``NonmonotoneSolution`` when the solved bids
     decrease over more than two grid cells.
+
+    The residual check is one array pass over the grid: the vector
+    field at the solved bids (one ``hazard`` call on the whole grid)
+    against the slope of the dense output.  ``derivative_check`` is the
+    largest interior residual scaled by 1 + |field|.
     """
     u = scenario.effective_utility()
     vm = scenario.values
@@ -330,13 +336,9 @@ def solve_fpa(scenario):
 
     monotone = check_monotone(bids)
 
-    residuals = np.empty_like(grid)
-    scaled = np.empty_like(grid)
-    for i, v in enumerate(grid):
-        field_val = vm.hazard(v) * _tradeoff_raw(u, v - bids[i], float(s_grid[i]))
-        slope = _interpolant_slope(sol.sol, v, span)
-        residuals[i] = abs(slope - field_val)
-        scaled[i] = residuals[i] / (1.0 + abs(field_val))
+    field_val = vm.hazard(grid) * _tradeoff_raw(u, grid - bids, s_grid)
+    residuals = np.abs(_interpolant_slope(sol.sol, grid, span) - field_val)
+    scaled = residuals / (1.0 + np.abs(field_val))
 
     return EquilibriumSolution(
         grid=grid,

@@ -21,6 +21,15 @@ _Q_FLOOR = 1e-300
 _EDGE_SLACK = 1e-9
 
 
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _first(v, mask):
+    """The first entry of v where mask holds, for error messages."""
+    return float(np.broadcast_to(v, np.shape(mask))[mask][0])
+
+
 class MarginalDist:
     """One bidder's value distribution on a closed interval [lo, hi]."""
 
@@ -179,91 +188,79 @@ class ValueModel:
     def _check_in_support(self, t, what="point"):
         arr = np.asarray(t, dtype=float)
         slack = _EDGE_SLACK * self.span
-        if np.any(arr < self.lo - slack) or np.any(arr > self.hi + slack):
+        if ((arr < self.lo - slack) | (arr > self.hi + slack)).any():
             raise DomainError(
                 f"{what} outside support [{self.lo:g}, {self.hi:g}]"
             )
-        return np.clip(arr, self.lo, self.hi)
+        return np.minimum(np.maximum(arr, self.lo), self.hi)
 
     def marginal_cdf(self, t):
         t = self._check_in_support(t)
         out = sum(w * d.cdf(t) for w, d in zip(self.weights, self.dists))
-        return float(out) if np.ndim(out) == 0 else out
+        return _float_or_array(out)
+
+    def _weighted_densities(self, v):
+        return np.array([w * d.pdf(v) for w, d in zip(self.weights, self.dists)])
 
     def posterior(self, v):
-        """Component weights conditional on observing one value v."""
-        v = float(self._check_in_support(v, "conditioning value"))
+        """Component weights conditional on observing own value(s) v.
+
+        Shape (K,) for a scalar v and (K,) + v.shape for an array.
+        """
+        return self._posterior(self._check_in_support(v, "conditioning value"))
+
+    def _posterior(self, v):
         if self.is_iid:
-            return np.array([1.0])
-        dens = np.array([float(d.pdf(v)) for d in self.dists])
-        raw = self.weights * dens
-        total = raw.sum()
-        if total <= 0.0 or not np.isfinite(total):
+            return np.ones((1,) + np.shape(v))
+        raw = self._weighted_densities(v)
+        total = sum(raw)
+        bad = (total <= 0.0) | ~np.isfinite(total)
+        if np.any(bad):
             # densities can vanish (or blow up) right at a support edge;
-            # use the limit from just inside instead
+            # those entries use the limit from just inside instead
             eps = 1e-9 * self.span
-            v_in = min(max(v, self.lo + eps), self.hi - eps)
-            dens = np.array([float(d.pdf(v_in)) for d in self.dists])
-            raw = self.weights * dens
-            total = raw.sum()
-            if total <= 0.0 or not np.isfinite(total):
-                raise DomainError(f"component densities degenerate at v={v:g}")
+            v_in = np.clip(v, self.lo + eps, self.hi - eps)
+            raw = np.where(bad, self._weighted_densities(v_in), raw)
+            total = sum(raw)
+            bad = (total <= 0.0) | ~np.isfinite(total)
+            if np.any(bad):
+                raise DomainError(
+                    f"component densities degenerate at v={_first(v, bad):g}"
+                )
         return raw / total
 
     def win_prob(self, v, t):
         """P(highest of the other n-1 values <= t | own value v)."""
-        post = self.posterior(v)
-        t = self._check_in_support(t, "threshold")
-        out = sum(
-            p * np.power(d.cdf(t), self.n - 1) for p, d in zip(post, self.dists)
-        )
-        return float(out) if np.ndim(out) == 0 else out
+        return self.kth_win_prob(1, v, t)
 
     def top_rival_density(self, v, z):
         """Density of the highest rival value at z, conditional on own value v."""
-        post = self.posterior(v)
-        z = self._check_in_support(z, "rival value")
-        out = sum(
-            p * (self.n - 1) * np.power(d.cdf(z), self.n - 2) * d.pdf(z)
-            for p, d in zip(post, self.dists)
-        )
-        return float(out) if np.ndim(out) == 0 else out
+        return self.kth_rival_density(1, v, z)
 
     def hazard(self, v):
-        """d/dt log P(win | own value v, threshold t) at t = v.
+        """d/dt log P(win | own value v, threshold t) at t = v, for each v.
 
         Closed form: the posterior-weighted top-rival density divided by
-        the posterior-weighted win probability at t = v.
+        the posterior-weighted win probability at t = v.  A scalar v gives
+        a float, an array v an array of its shape.  Raises
+        ``SingularHazard`` if the win probability vanishes at any entry.
         """
-        v = float(self._check_in_support(v, "value"))
-        q = self.win_prob(v, v)
-        if q < _Q_FLOOR:
-            raise SingularHazard(f"win probability vanishes at v={v:g}")
-        return self.top_rival_density(v, v) / q
+        v = self._check_in_support(v, "value")
+        post = self._posterior(v)
+        q = self._kth_tail(post, 1, v)
+        low = q < _Q_FLOOR
+        if np.any(low):
+            raise SingularHazard(f"win probability vanishes at v={_first(v, low):g}")
+        return _float_or_array(self._kth_density(post, 1, v) / q)
 
-    def hazard_fd(self, v, step=None):
-        """Finite-difference hazard, for cross-checking the closed form."""
-        v = float(v)
-        h = step if step is not None else 1e-6 * self.span
-        q = self.win_prob(v, v)
-        if q < _Q_FLOOR:
-            raise SingularHazard(f"win probability vanishes at v={v:g}")
-        up = self.win_prob(v, min(v + h, self.hi))
-        dn = self.win_prob(v, max(v - h, self.lo))
-        return (up - dn) / ((min(v + h, self.hi) - max(v - h, self.lo)) * q)
-
-    def kth_win_prob(self, units, v, t):
-        """P(k-th highest rival value <= t | own value v) for k = units.
-
-        Equals the probability that fewer than ``units`` of the n-1
-        rivals exceed t.  units = 1 reduces to :meth:`win_prob`.
-        """
+    def _check_units(self, units):
         if not (1 <= units <= self.n - 1):
             raise ConfigError(
                 f"order statistic index must be in [1, {self.n - 1}], got {units}"
             )
-        post = self.posterior(v)
-        t = self._check_in_support(t, "threshold")
+
+    def _kth_tail(self, post, units, t):
+        """:meth:`kth_win_prob` at thresholds t, given the posterior ``post``."""
         m = self.n - 1
         out = 0.0
         for p, d in zip(post, self.dists):
@@ -273,31 +270,41 @@ class ValueModel:
                 for j in range(units)
             )
             out = out + p * tail
-        return float(out) if np.ndim(out) == 0 else out
+        return out
+
+    def _kth_density(self, post, units, z):
+        """:meth:`kth_rival_density` at z, given the posterior ``post``."""
+        m = self.n - 1
+        coef = units * math.comb(m, units)
+        out = 0.0
+        for p, d in zip(post, self.dists):
+            F = d.cdf(z)
+            out = out + (
+                p * coef * np.power(1.0 - F, units - 1) * np.power(F, m - units) * d.pdf(z)
+            )
+        return out
+
+    def kth_win_prob(self, units, v, t):
+        """P(k-th highest rival value <= t | own value v) for k = units.
+
+        Equals the probability that fewer than ``units`` of the n-1
+        rivals exceed t.  units = 1 is :meth:`win_prob`.
+        """
+        self._check_units(units)
+        post = self.posterior(v)
+        t = self._check_in_support(t, "threshold")
+        return _float_or_array(self._kth_tail(post, units, t))
 
     def kth_rival_density(self, units, v, z):
         """Density of the k-th highest rival value at z, for k = units.
 
         The derivative of :meth:`kth_win_prob` in its threshold;
-        units = 1 reduces to :meth:`top_rival_density`.
+        units = 1 is :meth:`top_rival_density`.
         """
-        if not (1 <= units <= self.n - 1):
-            raise ConfigError(
-                f"order statistic index must be in [1, {self.n - 1}], got {units}"
-            )
+        self._check_units(units)
         post = self.posterior(v)
         z = self._check_in_support(z, "rival value")
-        m = self.n - 1
-        coef = units * math.comb(m, units)
-        out = sum(
-            p
-            * coef
-            * np.power(1.0 - d.cdf(z), units - 1)
-            * np.power(d.cdf(z), m - units)
-            * d.pdf(z)
-            for p, d in zip(post, self.dists)
-        )
-        return float(out) if np.ndim(out) == 0 else out
+        return _float_or_array(self._kth_density(post, units, z))
 
     def sample(self, rng, rounds):
         """Draw ``rounds`` full profiles of n values, shape (rounds, n).

@@ -26,9 +26,70 @@ from riskbid import (
     marginal_tradeoff,
     solve_fpa,
 )
-from riskbid.fpa import check_monotone
+from riskbid.fpa import _tradeoff_raw, check_monotone
+
+from conftest import fpa_matrix
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the residual check one grid point at a time
+# ---------------------------------------------------------------------------
+
+def _reference_slope(dense, t, span):
+    """Central difference of the dense output, kept inside t's own piece."""
+    ts = dense.ts
+    j = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
+    lo, hi = ts[j], ts[j + 1]
+    h = min(1e-5 * span, (hi - lo) / 8.0)
+    c = min(max(t, lo + h), hi - h)
+    return float((dense(c + h)[0] - dense(c - h)[0]) / (2.0 * h))
+
+
+def reference_residuals(scenario, sol):
+    """(bids, residuals, derivative_check) for a solved scenario, with one
+    scalar dense-output, hazard, tradeoff and slope call per grid point."""
+    u = scenario.effective_utility()
+    vm = scenario.values
+    grid = scenario.report_grid()
+    s_grid = np.asarray(scenario.outside.value(grid))
+    bids = np.empty_like(grid)
+    residuals = np.empty_like(grid)
+    scaled = np.empty_like(grid)
+    for i, v in enumerate(grid):
+        bids[i] = sol._dense(v)[0]
+        field_val = vm.hazard(v) * _tradeoff_raw(u, v - bids[i], float(s_grid[i]))
+        slope = _reference_slope(sol._dense, v, vm.span)
+        residuals[i] = abs(slope - field_val)
+        scaled[i] = residuals[i] / (1.0 + abs(field_val))
+    return bids, residuals, float(np.max(scaled[1:-1]))
+
+
+@pytest.mark.parametrize("grid", [129, 1025])
+def test_residual_check_matches_scalar_reference(grid):
+    for _, scn in fpa_matrix():
+        for case in (replace(scn, transform=None, grid=grid), replace(scn, grid=grid)):
+            sol = solve_fpa(case)
+            bids, residuals, check = reference_residuals(case, sol)
+            np.testing.assert_array_equal(sol.bids, bids)
+            np.testing.assert_array_equal(sol.residuals, residuals)
+            assert sol.derivative_check == check
+
+
+def test_one_array_hazard_call_per_solve(monkeypatch):
+    calls = []
+    original = ValueModel.hazard
+
+    def spy(self, v):
+        calls.append(np.shape(v))
+        return original(self, v)
+
+    monkeypatch.setattr(ValueModel, "hazard", spy)
+    scn = FPAScenario(values=UNIT3, utility=CRRAUtility(0.5), grid=129)
+    solve_fpa(scn)
+    arrays = [shape for shape in calls if shape != ()]
+    assert arrays == [(scn.grid,)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,21 @@ from riskbid import (
 UNIT_MIX = ValueModel.mixture(
     [(0.5, UniformDist(0.0, 1.0)), (0.5, PowerDist(2.0, 0.0, 1.0))], 3
 )
+#: a power(k < 1) density blows up at the bottom edge, so posteriors
+#: there fall back to the limit from just inside
+EDGE_MIX = ValueModel.mixture(
+    [(0.4, PowerDist(0.5, 0.0, 1.0)), (0.6, PowerDist(3.0, 0.0, 1.0))], 3
+)
+
+
+def hazard_fd(m, v, step=None):
+    """Finite-difference hazard of model m at v: the oracle for the closed form."""
+    v = float(v)
+    h = step if step is not None else 1e-6 * m.span
+    q = m.win_prob(v, v)
+    up = m.win_prob(v, min(v + h, m.hi))
+    dn = m.win_prob(v, max(v - h, m.lo))
+    return (up - dn) / ((min(v + h, m.hi) - max(v - h, m.lo)) * q)
 
 
 def test_uniform_marginal():
@@ -102,13 +117,70 @@ def test_hazard_matches_finite_difference():
         ),
     ):
         for v in np.linspace(0.02, 0.98, 100):
-            assert m.hazard(v) == pytest.approx(m.hazard_fd(v), rel=1e-5)
+            assert m.hazard(v) == pytest.approx(hazard_fd(m, v), rel=1e-5)
 
 
 def test_hazard_singular_at_bottom():
     m = ValueModel.iid(UniformDist(0.0, 1.0), 2)
     with pytest.raises(SingularHazard):
         m.hazard(0.0)
+    # one entry at the bottom type is enough
+    with pytest.raises(SingularHazard, match="v=0"):
+        m.hazard(np.array([0.5, 0.0, 0.7]))
+
+
+@pytest.mark.parametrize("m", [
+    ValueModel.iid(UniformDist(0.0, 1.0), 3),
+    ValueModel.iid(PowerDist(1.5, 0.0, 1.0), 4),
+    ValueModel.iid(TruncatedNormalDist(0.4, 0.3, 0.0, 1.0), 2),
+    ValueModel.mixture(
+        [(0.3, UniformDist(0.0, 1.0)), (0.7, TruncatedNormalDist(0.6, 0.3, 0.0, 1.0))],
+        3,
+    ),
+    UNIT_MIX,
+])
+def test_array_hazard_and_posterior_match_scalar_calls(m):
+    vs = np.linspace(0.01, 1.0, 37)
+    np.testing.assert_array_equal(m.hazard(vs), [m.hazard(v) for v in vs])
+    post = m.posterior(vs)
+    assert post.shape == (len(m.dists),) + vs.shape
+    np.testing.assert_array_equal(post.T, [m.posterior(v) for v in vs])
+    grid = vs.reshape(37, 1)  # any shape, elementwise
+    np.testing.assert_array_equal(m.hazard(grid), m.hazard(vs).reshape(37, 1))
+
+
+def test_posterior_edge_fallback_per_entry():
+    vs = np.array([0.0, 0.3, 1.0, 0.0, 0.7])
+    post = EDGE_MIX.posterior(vs)
+    np.testing.assert_array_equal(post.T, [EDGE_MIX.posterior(v) for v in vs])
+    # the bottom edge takes the limit from just inside; interior and top
+    # entries are untouched by the fallback
+    inside = EDGE_MIX.posterior(1e-9 * EDGE_MIX.span)
+    np.testing.assert_array_equal(post[:, 0], inside)
+    np.testing.assert_array_equal(post[:, 3], inside)
+    np.testing.assert_allclose(post.sum(axis=0), 1.0, rtol=1e-15)
+    assert post[0, 0] > 0.99  # the diverging power(k < 1) density wins
+    interior = np.array([0.3, 1.0, 0.7])
+    np.testing.assert_array_equal(
+        EDGE_MIX.hazard(interior), [EDGE_MIX.hazard(v) for v in interior]
+    )
+
+
+def test_array_out_of_support_is_domain_error():
+    m = ValueModel.iid(UniformDist(0.0, 1.0), 3)
+    for f in (m.hazard, m.posterior, UNIT_MIX.posterior):
+        with pytest.raises(DomainError):
+            f(np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            f(np.array([-0.2, 0.5]))
+
+
+def test_hazard_scalar_and_empty_shapes():
+    for m in (ValueModel.iid(UniformDist(0.0, 1.0), 3), UNIT_MIX):
+        for v in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(m.hazard(v)) is float
+        assert m.hazard(np.array([])).shape == (0,)
+        assert m.posterior(np.array([])).shape == (len(m.dists), 0)
 
 
 def test_top_rival_density_matches_win_prob_slope():
