@@ -107,19 +107,20 @@ def pivotal_expectation(scenario, v, b, utility=None):
 
     Averages u(W - b) over the win-payoff noise at type v.  A scalar v
     raises ``DomainError`` when W - b leaves the domain.  An array v gives
-    one value per type, ``-inf`` for a type with any noise atom outside
-    the domain (even at weight 0): that bid is certainly too high.
+    one value per type from a single ``masked_value`` pass over the
+    (types x noise atoms) surplus: ``-inf`` for a type with any noise atom
+    outside the domain (even at weight 0), as that bid is certainly too
+    high.
     """
     u = scenario.effective_utility() if utility is None else utility
     offsets, weights = scenario.win_payoff.offsets()
     if not isinstance(v, np.ndarray):
         out = u.value(v + offsets - b) @ weights
         return out if out.ndim else float(out)
-    surplus = v[..., None] + offsets - np.asarray(b)[..., None]
-    inside = np.all(u.domain_mask(surplus), axis=-1)
+    vals = u.masked_value(v[..., None] + offsets - np.asarray(b)[..., None])
+    inside = np.all(vals > -np.inf, axis=-1)
     out = np.full(inside.shape, -np.inf)
-    if np.any(inside):
-        out[inside] = u.value(surplus[inside]) @ weights
+    out[inside] = vals[inside] @ weights
     return out if out.ndim else float(out)
 
 
@@ -135,10 +136,7 @@ def solve_spa(scenario):
     """
     u = scenario.effective_utility()
     grid = scenario.report_grid()
-    s_grid = np.asarray(scenario.outside.value(grid), dtype=float)
-    if s_grid.ndim == 0:
-        s_grid = np.full_like(grid, float(s_grid))
-    target = u.value(s_grid)
+    target = u.value(np.broadcast_to(scenario.outside.value(grid), grid.shape))
     tol = scenario.root_tol
     resid_tol = tol * (1.0 + np.abs(target))
 

@@ -2,13 +2,22 @@
 
 Four closed-form families: linear, constant relative risk aversion
 (power, with the log special case), constant absolute risk aversion
-(exponential), and concave piecewise linear.  Every family evaluates
-u(x) and u'(x) in closed form and accepts scalars or numpy arrays.
+(exponential), and concave piecewise linear.
 
 Each family carries a ``shift``: the payoff is offset before the base
 formula is applied, u(x) = base(x + shift).  Shifting is how payoffs
 that can go negative are kept inside a bounded domain (e.g. power
 utility needs positive arguments).
+
+A family only writes two unchecked array kernels on the shifted
+argument, ``_u(z)`` and ``_du(z)``, and names its domain.  The base
+class evaluates them for every family, on scalars or numpy arrays:
+
+- ``value``/``deriv`` check the domain once and raise ``DomainError``
+  if any entry leaves it; a scalar input gives a float.
+- ``masked_value`` never raises: it returns an array of the input's
+  shape with ``-inf`` at out-of-domain entries, and runs the kernel only
+  on the rest.  A composition masks each layer in turn.
 
 A transform is just another weakly concave member of the same menu,
 applied to the *output* of a utility; ``compose`` builds the combined
@@ -21,51 +30,52 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 
-def _prep(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
-
-
 class Utility:
-    """Base class: increasing payoff evaluation with a closed-form derivative."""
+    """Base class: increasing payoff evaluation with a closed-form derivative.
+
+    A family defines the kernels ``_u`` and ``_du`` on the shifted
+    argument z = x + shift, plus its domain (``domain_lo``,
+    ``domain_open``); the evaluators below are shared by every family.
+    """
 
     #: Lower end of the domain in *shifted* coordinates; subclasses override.
     domain_lo = -np.inf
     #: Whether the lower end is excluded.
     domain_open = False
 
-    def _shifted(self, x):
-        arr, scalar = _prep(x)
-        z = arr + self.shift
-        bad = (z < self.domain_lo) | (self.domain_open & (z <= self.domain_lo))
-        if np.any(bad):
-            worst = float(np.min(z))
+    def _checked(self, kernel, x):
+        z = np.asarray(x, dtype=float) + self.shift
+        lo = self.domain_lo
+        # nothing lies below an unbounded domain, so only bounded ones scan
+        if lo > -np.inf and np.any(z <= lo if self.domain_open else z < lo):
             raise DomainError(
-                f"{type(self).__name__}: argument + shift = {worst:g} outside "
-                f"domain ({'(' if self.domain_open else '['}{self.domain_lo:g}, inf)"
+                f"{type(self).__name__}: argument + shift = {float(np.min(z)):g} outside "
+                f"domain ({'(' if self.domain_open else '['}{lo:g}, inf)"
             )
-        return z, scalar
+        out = kernel(z)
+        return float(out) if z.ndim == 0 else out
 
     def value(self, x):
-        raise NotImplementedError
+        """u(x); raises ``DomainError`` if any entry leaves the domain."""
+        return self._checked(self._u, x)
 
     def deriv(self, x):
-        raise NotImplementedError
+        """u'(x); raises ``DomainError`` if any entry leaves the domain."""
+        return self._checked(self._du, x)
 
-    def in_domain(self, x):
-        """True when every entry of x (+shift) is inside the domain."""
-        return bool(np.all(self.domain_mask(x)))
+    def masked_value(self, x):
+        """u(x) as an array of x's shape, ``-inf`` where x leaves the domain.
 
-    def domain_mask(self, x):
-        """Elementwise in-domain indicator, same shape as x."""
+        The kernel only sees in-domain entries, so a breach neither raises
+        nor warns.
+        """
         z = np.asarray(x, dtype=float) + self.shift
-        if self.domain_open:
-            return z > self.domain_lo
-        return z >= self.domain_lo
+        ok = z > self.domain_lo if self.domain_open else z >= self.domain_lo
+        if np.all(ok):
+            return np.asarray(self._u(z), dtype=float)
+        out = np.full(z.shape, -np.inf)
+        out[ok] = self._u(z[ok])
+        return out
 
     def to_config(self):
         raise NotImplementedError
@@ -77,13 +87,11 @@ class LinearUtility(Utility):
     def __init__(self, shift=0.0):
         self.shift = float(shift)
 
-    def value(self, x):
-        z, scalar = self._shifted(x)
-        return _ret(z, scalar)
+    def _u(self, z):
+        return z
 
-    def deriv(self, x):
-        arr, scalar = _prep(x)
-        return _ret(np.ones_like(arr), scalar)
+    def _du(self, z):
+        return np.ones_like(z)
 
     def to_config(self):
         return {"family": "linear", "shift": self.shift}
@@ -111,16 +119,13 @@ class CRRAUtility(Utility):
         self.domain_lo = 0.0
         self.domain_open = rho > 1.0
 
-    def value(self, x):
-        z, scalar = self._shifted(x)
+    def _u(self, z):
         r = 1.0 - self.rho
-        return _ret(np.power(z, r) / r, scalar)
+        return np.power(z, r) / r
 
-    def deriv(self, x):
-        z, scalar = self._shifted(x)
+    def _du(self, z):
         with np.errstate(divide="ignore"):
-            out = np.power(z, -self.rho)
-        return _ret(out, scalar)
+            return np.power(z, -self.rho)
 
     def to_config(self):
         return {"family": "crra", "rho": self.rho, "shift": self.shift}
@@ -138,13 +143,11 @@ class LogUtility(Utility):
     def __init__(self, shift=0.0):
         self.shift = float(shift)
 
-    def value(self, x):
-        z, scalar = self._shifted(x)
-        return _ret(np.log(z), scalar)
+    def _u(self, z):
+        return np.log(z)
 
-    def deriv(self, x):
-        z, scalar = self._shifted(x)
-        return _ret(1.0 / z, scalar)
+    def _du(self, z):
+        return 1.0 / z
 
     def to_config(self):
         return {"family": "crra_log", "shift": self.shift}
@@ -163,13 +166,11 @@ class CARAUtility(Utility):
         self.alpha = alpha
         self.shift = float(shift)
 
-    def value(self, x):
-        z, scalar = self._shifted(x)
-        return _ret(1.0 - np.exp(-self.alpha * z), scalar)
+    def _u(self, z):
+        return 1.0 - np.exp(-self.alpha * z)
 
-    def deriv(self, x):
-        z, scalar = self._shifted(x)
-        return _ret(self.alpha * np.exp(-self.alpha * z), scalar)
+    def _du(self, z):
+        return self.alpha * np.exp(-self.alpha * z)
 
     def to_config(self):
         return {"family": "cara", "alpha": self.alpha, "shift": self.shift}
@@ -213,16 +214,13 @@ class PiecewiseLinearUtility(Utility):
         idx = np.searchsorted(self.knot_x, z, side="right") - 1
         return np.clip(idx, 0, len(self.knot_x) - 1)
 
-    def value(self, x):
-        z, scalar = self._shifted(x)
+    def _u(self, z):
         idx = self._segment(z)
-        out = self.knot_v[idx] + self.knot_m[idx] * (z - self.knot_x[idx])
-        return _ret(out, scalar)
+        return self.knot_v[idx] + self.knot_m[idx] * (z - self.knot_x[idx])
 
-    def deriv(self, x):
-        z, scalar = self._shifted(x)
+    def _du(self, z):
         # right-hand slope convention at the kinks themselves
-        return _ret(self.knot_m[self._segment(z)], scalar)
+        return self.knot_m[self._segment(z)]
 
     def to_config(self):
         return {
@@ -250,13 +248,9 @@ class ComposedUtility(Utility):
     def deriv(self, x):
         return self.outer.deriv(self.inner.value(x)) * self.inner.deriv(x)
 
-    def domain_mask(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        ok = np.atleast_1d(self.inner.domain_mask(arr))
-        out = np.zeros(arr.shape, dtype=bool)
-        if np.any(ok):
-            out[ok] = np.atleast_1d(self.outer.domain_mask(self.inner.value(arr[ok])))
-        return out.reshape(np.shape(x))
+    def masked_value(self, x):
+        # an inner breach gives -inf, which every outer maps to -inf
+        return self.outer.masked_value(self.inner.masked_value(x))
 
     def to_config(self):
         return {

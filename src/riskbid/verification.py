@@ -30,17 +30,6 @@ def _normalize_format(fmt):
     return name
 
 
-def _masked_value(utility, x):
-    """utility(x) with out-of-domain entries mapped to -inf, not errors."""
-    x = np.asarray(x, dtype=float)
-    ok = np.asarray(utility.domain_mask(x))
-    if not np.any(ok):
-        return np.full(x.shape, -np.inf)
-    fill = x[ok].flat[0]
-    vals = np.asarray(utility.value(np.where(ok, x, fill)), dtype=float)
-    return np.where(ok, vals, -np.inf)
-
-
 def fpa_report_utility(scenario, solution, v, t):
     """Expected utility of type v reporting t against the solved schedule.
 
@@ -53,7 +42,7 @@ def fpa_report_utility(scenario, solution, v, t):
     u_s = float(u.value(scenario.outside.value(v)))
     t = np.asarray(t, dtype=float)
     q = np.asarray(scenario.values.win_prob(v, t), dtype=float)
-    vals = _masked_value(u, v - np.asarray(solution.bid_at(t), dtype=float))
+    vals = u.masked_value(v - np.asarray(solution.bid_at(t), dtype=float))
     with np.errstate(invalid="ignore"):
         psi = np.where(q > 0.0, q * vals + (1.0 - q) * u_s, u_s)
     return float(psi) if psi.ndim == 0 else psi
@@ -89,7 +78,7 @@ def spa_report_utility(scenario, solution, v, t):
 
     bids = np.asarray(solution.bid_at(nodes), dtype=float)
     surplus = v + offsets[None, None, :] - bids[:, :, None]
-    vals = _masked_value(u, surplus)
+    vals = u.masked_value(surplus)
     m = vals @ wts
     dens = np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float)
     with np.errstate(invalid="ignore"):
@@ -176,7 +165,7 @@ def best_response_audit(
 
         if fmt == "fpa":
             # out-of-range bids win with certainty at their own price
-            probe_psi = _masked_value(u, v - probe_bids)
+            probe_psi = u.masked_value(v - probe_bids)
             k = int(np.argmax(probe_psi))
             if probe_psi[k] > best:
                 best, t_star = probe_psi[k], np.nan
@@ -302,11 +291,7 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
             win_surplus = w - price[:, None]
             revenue = units * price
 
-        util = np.asarray(u.value(np.asarray(scenario.outside.value(vals), dtype=float)))
-        if util.shape != vals.shape:
-            util = np.broadcast_to(util, vals.shape).copy()
-        else:
-            util = util.copy()
+        util = np.broadcast_to(u.value(scenario.outside.value(vals)), vals.shape).copy()
         if fmt == "uniform":
             np.put_along_axis(util, winners, np.asarray(u.value(win_surplus)), axis=1)
         else:

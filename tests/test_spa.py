@@ -173,6 +173,22 @@ def test_pivotal_expectation_decreasing_in_bid():
     assert np.all(np.diff(vals) < 0)
 
 
+def test_pivotal_expectation_array_evaluates_inner_once():
+    # one masked pass: no separate domain scan that re-evaluates the inner layer
+    scn = SPAScenario(values=UNIT3, utility=CRRAUtility(0.5, shift=0.5),
+                      transform=CARAUtility(1.0),
+                      win_payoff=NoisyWin(TruncatedNormalNoise(0.0, 1.0, -3.0, 3.0), scale=0.2))
+    u = scn.effective_utility()
+    calls = []
+    kernel = u.inner._u
+    u.inner._u = lambda z: calls.append(z.shape) or kernel(z)
+    v = np.linspace(0.0, 1.0, 9)
+    out = pivotal_expectation(scn, v, np.full(v.shape, 0.6), utility=u)
+    assert len(calls) == 1
+    # the low types breach the inner domain on some atoms, the rest do not
+    assert np.isneginf(out[0]) and np.all(np.isfinite(out[-3:]))
+
+
 # ---------------------------------------------------------------------------
 # truthful bidding benchmarks
 # ---------------------------------------------------------------------------

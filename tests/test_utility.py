@@ -1,6 +1,8 @@
 """Unit tests for the utility families and transform composition."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,12 +155,29 @@ def test_vector_and_scalar_agree():
 def test_domain_mask_elementwise():
     u = CRRAUtility(0.5)
     np.testing.assert_array_equal(
-        u.domain_mask(np.array([-1.0, 0.0, 1.0])), [False, True, True]
+        u.masked_value(np.array([-1.0, 0.0, 1.0])) > -np.inf, [False, True, True]
     )
     v = LogUtility()
-    np.testing.assert_array_equal(v.domain_mask(np.array([0.0, 1.0])), [False, True])
-    assert v.in_domain(1.0)
-    assert not v.in_domain(np.array([0.5, -0.5]))
+    np.testing.assert_array_equal(
+        v.masked_value(np.array([0.0, 1.0])) > -np.inf, [False, True]
+    )
+    assert v.masked_value(1.0) > -np.inf
+    assert not np.all(v.masked_value(np.array([0.5, -0.5])) > -np.inf)
+
+
+@pytest.mark.parametrize(
+    "u, x, msg",
+    [
+        (CRRAUtility(0.5, shift=1.0), np.array([-3.0, 1.0]),
+         "CRRAUtility: argument + shift = -2 outside domain ([0, inf)"),
+        (LogUtility(), 0.0, "LogUtility: argument + shift = 0 outside domain ((0, inf)"),
+    ],
+    ids=["closed", "open"],
+)
+@pytest.mark.parametrize("method", ["value", "deriv"])
+def test_domain_error_message(u, x, msg, method):
+    with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+        getattr(u, method)(x)
 
 
 def test_composed_chain_rule():
@@ -176,12 +195,65 @@ def test_composed_domain_mask_two_stage():
     # outer log is only defined on positive inner values
     g = ComposedUtility(LogUtility(), LinearUtility())
     np.testing.assert_array_equal(
-        g.domain_mask(np.array([-1.0, 0.0, 2.0])), [False, False, True]
+        g.masked_value(np.array([-1.0, 0.0, 2.0])) > -np.inf, [False, False, True]
     )
     # inner domain violations must not be evaluated by the outer
     g2 = ComposedUtility(LogUtility(shift=10.0), CRRAUtility(0.5))
-    mask = g2.domain_mask(np.array([-4.0, 1.0]))
+    mask = g2.masked_value(np.array([-4.0, 1.0])) > -np.inf
     np.testing.assert_array_equal(mask, [False, True])
+
+
+# outer layers over CRRA(0.5): the shifted log and CRRA(2) outers also
+# breach on inner values in (0, 1], i.e. for x in [0, 0.25]
+COMPOSED = [
+    compose(outer, CRRAUtility(0.5))
+    for outer in (
+        LinearUtility(),
+        CARAUtility(1.5),
+        PiecewiseLinearUtility([(0.5, 2.0), (1.5, 1.0)]),
+        LogUtility(shift=-1.0),
+        CRRAUtility(2.0, shift=-1.0),
+    )
+]
+
+
+def _in_domain(u, x):
+    try:
+        u.value(x)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("u", FAMILIES + COMPOSED, ids=lambda u: repr(u))
+def test_masked_value_contract(u):
+    lo = u.domain_lo - u.shift if np.isfinite(u.domain_lo) else 0.0
+    x = np.concatenate([lo + np.linspace(-2.0, 3.0, 41), [0.1, 0.25, 0.3]])
+    ok = np.array([_in_domain(u, xi) for xi in x])
+    assert ok.any()
+    if not isinstance(u, ComposedUtility) and np.isfinite(u.domain_lo):
+        assert not ok.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = u.masked_value(x)
+        grid = u.masked_value(x.reshape(4, 11))
+        empty = u.masked_value(np.empty((0, 3)))
+        point = u.masked_value(x[-1])
+    assert got.shape == x.shape and grid.shape == (4, 11)
+    assert empty.shape == (0, 3) and np.shape(point) == ()
+    # in-domain entries are value's own bits; every breach is -inf
+    np.testing.assert_array_equal(got[ok], u.value(x[ok]))
+    assert np.all(got[~ok] == -np.inf)
+    np.testing.assert_array_equal(grid.ravel(), got)
+
+
+def test_masked_value_composed_breaches_both_layers():
+    x = np.array([-1.0, 0.0, 0.2, 1.0])
+    for g in COMPOSED[3:]:
+        # x < 0 breaches the inner CRRA, x in [0, 0.25] the outer layer
+        np.testing.assert_array_equal(
+            g.masked_value(x) > -np.inf, [False, False, False, True]
+        )
 
 
 def test_effective_utility_passthrough():
