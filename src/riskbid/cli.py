@@ -32,7 +32,12 @@ from .errors import (
     RiskbidError,
 )
 from .fpa import EquilibriumSolution, compare_risk_aversion_fpa, solve_fpa
-from .safety import fpa_higher_bid_safer, problem_from_dict, spa_lower_bid_safer
+from .safety import (
+    auction_partition,
+    fpa_higher_bid_safer,
+    problem_from_dict,
+    spa_lower_bid_safer,
+)
 from .spa import compare_risk_aversion_spa, solve_spa, solve_uniform_price
 from .verification import best_response_audit, monte_carlo_auction
 
@@ -182,7 +187,6 @@ def cmd_safety(args):
     fpa_exc = spa_exc = None
     try:
         rep = fpa_higher_bid_safer(bid_a, bid_b, states)
-        apart = rep.auction_partition
         fpa_out = {
             "higher_bid_safer": bool(rep.verdict.safer),
             "winning_cannot_hurt": bool(rep.winning_cannot_hurt),
@@ -210,8 +214,6 @@ def cmd_safety(args):
             if rep.verdict.witness is None
             else _int_list(rep.verdict.witness),
         }
-        if fpa_exc is not None:
-            apart = rep.auction_partition
     except (DominancePrecondition, IdenticalActions) as exc:
         spa_exc = exc
         spa_out = {"error": type(exc).__name__, "detail": str(exc)}
@@ -225,6 +227,7 @@ def cmd_safety(args):
         print(f"dominance precondition failed: {fpa_exc}", file=sys.stderr)
         return EXIT_DOMINANCE
 
+    apart = auction_partition(bid_a, bid_b, states)
     out = {
         "bid_a": bid_a,
         "bid_b": bid_b,

@@ -10,6 +10,7 @@ sufficient to reproduce the run bit for bit.
 """
 
 import json
+import sys
 
 from .errors import ConfigError
 from .fpa import FPAScenario
@@ -60,29 +61,87 @@ def _check_keys(doc, allowed, required, where):
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
 
 
-def _build_dist(doc, lo, hi):
-    _check_keys(
-        doc,
-        allowed={"family", "k", "mu", "sigma"},
-        required={"family"},
-        where="values.dist",
-    )
-    family = doc["family"]
-    if family == "uniform":
-        _check_keys(doc, {"family"}, {"family"}, "uniform dist")
-        return UniformDist(lo, hi)
-    if family == "power":
-        _check_keys(doc, {"family", "k"}, {"family", "k"}, "power dist")
-        return PowerDist(doc["k"], lo, hi)
-    if family == "truncated_normal":
-        _check_keys(
-            doc,
-            {"family", "mu", "sigma"},
-            {"family", "mu", "sigma"},
-            "truncated_normal dist",
-        )
-        return TruncatedNormalDist(doc["mu"], doc["sigma"], lo, hi)
-    raise ConfigError(f"unknown value distribution family {family!r}")
+def finite_number(val, where):
+    """``val`` as a float; ConfigError unless a finite JSON number (not a bool)."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not (number and abs(val) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def _numbers(val, where, length=None):
+    """A nonempty list of finite numbers, of exactly ``length`` if given."""
+    if not isinstance(val, (list, tuple)) or not val or (length and len(val) != length):
+        size = f"{length} numbers" if length else "a nonempty list of numbers"
+        raise ConfigError(f"{where} must be {size}, got {val!r}")
+    return [finite_number(x, f"{where}[{i}]") for i, x in enumerate(val)]
+
+
+def _pairs(val, where):
+    """A nonempty list of [x, y] number pairs."""
+    if not (isinstance(val, (list, tuple)) and val):
+        raise ConfigError(f"{where} must be a nonempty list of [x, y] pairs, got {val!r}")
+    return [tuple(_numbers(p, f"{where}[{i}]", 2)) for i, p in enumerate(val)]
+
+
+def _build_tagged(doc, tag, table, where, *extra):
+    """Build the object a tagged document names.
+
+    ``table`` maps each tag value to (constructor, required fields,
+    optional fields), the fields as {name: parser}.  The constructor gets
+    the required fields in order, then ``extra``, then the optional
+    fields present in the document by name.
+    """
+    fields = {f for _, req, opt in table.values() for f in (*req, *opt)}
+    _check_keys(doc, fields | {tag}, {tag}, where)
+    name = doc[tag]
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {where} {tag} {name!r}")
+    make, req, opt = table[name]
+    _check_keys(doc, {tag, *req, *opt}, {tag, *req}, f"{name} {where}")
+    args = [parse(doc[f], f"{where}.{f}") for f, parse in req.items()]
+    kwargs = {f: parse(doc[f], f"{where}.{f}") for f, parse in opt.items() if f in doc}
+    return make(*args, *extra, **kwargs)
+
+
+_NUM = finite_number
+_SHIFT = {"shift": _NUM}
+_DISTS = {
+    "uniform": (UniformDist, {}, {}),
+    "power": (PowerDist, {"k": _NUM}, {}),
+    "truncated_normal": (TruncatedNormalDist, {"mu": _NUM, "sigma": _NUM}, {}),
+}
+_UTILITIES = {
+    "linear": (LinearUtility, {}, _SHIFT),
+    "crra": (CRRAUtility, {"rho": _NUM}, _SHIFT),
+    "crra_log": (LogUtility, {}, _SHIFT),
+    "cara": (CARAUtility, {"alpha": _NUM}, _SHIFT),
+    "piecewise_linear": (PiecewiseLinearUtility, {"knots": _pairs}, _SHIFT),
+}
+_OUTSIDES = {
+    "constant": (ConstantOutside, {}, {"s0": _NUM}),
+    "affine": (AffineOutside, {"c0": _NUM, "c1": _NUM}, {}),
+    "table": (TableOutside, {"points": _pairs}, {}),
+}
+_NOISES = {
+    "discrete": (DiscreteNoise, {"points": _numbers, "probs": _numbers}, {}),
+    "uniform": (UniformNoise, {"lo": _NUM, "hi": _NUM}, {}),
+    "truncated_normal": (
+        TruncatedNormalNoise,
+        {"mu": _NUM, "sigma": _NUM, "lo": _NUM, "hi": _NUM},
+        {},
+    ),
+}
+
+
+def _build_noise(doc, where):
+    return _build_tagged(doc, "kind", _NOISES, where)
+
+
+_WIN_PAYOFFS = {
+    "deterministic": (DeterministicWin, {}, {}),
+    "additive_noise": (NoisyWin, {"noise": _build_noise, "scale": _NUM}, {}),
+}
 
 
 def _build_values(doc):
@@ -92,118 +151,33 @@ def _build_values(doc):
         required={"support", "n", "kind"},
         where="values",
     )
-    support = doc["support"]
-    if not (isinstance(support, (list, tuple)) and len(support) == 2):
-        raise ConfigError(f"values.support must be [lo, hi], got {support!r}")
-    lo, hi = float(support[0]), float(support[1])
+    lo, hi = _numbers(doc["support"], "values.support", 2)
     kind = doc["kind"]
     if kind == "iid":
         if "dist" not in doc or "components" in doc:
             raise ConfigError("iid values need a 'dist' key and no 'components'")
-        return ValueModel.iid(_build_dist(doc["dist"], lo, hi), doc["n"])
+        dist = _build_tagged(doc["dist"], "family", _DISTS, "values.dist", lo, hi)
+        return ValueModel.iid(dist, doc["n"])
     if kind == "mixture":
         if "components" not in doc or "dist" in doc:
             raise ConfigError("mixture values need a 'components' key and no 'dist'")
+        raw = doc["components"]
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"values.components must be a list, got {raw!r}")
         comps = []
-        for i, c in enumerate(doc["components"]):
-            _check_keys(
-                c,
-                {"weight", "dist"},
-                {"weight", "dist"},
-                f"values.components[{i}]",
-            )
-            comps.append((c["weight"], _build_dist(c["dist"], lo, hi)))
+        for i, c in enumerate(raw):
+            where = f"values.components[{i}]"
+            _check_keys(c, {"weight", "dist"}, {"weight", "dist"}, where)
+            comps.append((
+                finite_number(c["weight"], f"{where}.weight"),
+                _build_tagged(c["dist"], "family", _DISTS, f"{where}.dist", lo, hi),
+            ))
         return ValueModel.mixture(comps, doc["n"])
     raise ConfigError(f"values.kind must be 'iid' or 'mixture', got {kind!r}")
 
 
 def _build_utility(doc, where):
-    _check_keys(
-        doc,
-        allowed={"family", "rho", "alpha", "knots", "shift"},
-        required={"family"},
-        where=where,
-    )
-    family = doc["family"]
-    shift = doc.get("shift", 0.0)
-    if family == "linear":
-        _check_keys(doc, {"family", "shift"}, {"family"}, where)
-        return LinearUtility(shift)
-    if family == "crra":
-        _check_keys(doc, {"family", "rho", "shift"}, {"family", "rho"}, where)
-        return CRRAUtility(doc["rho"], shift)
-    if family == "crra_log":
-        _check_keys(doc, {"family", "shift"}, {"family"}, where)
-        return LogUtility(shift)
-    if family == "cara":
-        _check_keys(doc, {"family", "alpha", "shift"}, {"family", "alpha"}, where)
-        return CARAUtility(doc["alpha"], shift)
-    if family == "piecewise_linear":
-        _check_keys(doc, {"family", "knots", "shift"}, {"family", "knots"}, where)
-        return PiecewiseLinearUtility([tuple(k) for k in doc["knots"]], shift)
-    raise ConfigError(f"unknown utility family {family!r} in {where}")
-
-
-def _build_outside(doc):
-    _check_keys(
-        doc,
-        allowed={"form", "s0", "c0", "c1", "points"},
-        required={"form"},
-        where="outside_option",
-    )
-    form = doc["form"]
-    if form == "constant":
-        _check_keys(doc, {"form", "s0"}, {"form"}, "constant outside_option")
-        return ConstantOutside(doc.get("s0", 0.0))
-    if form == "affine":
-        _check_keys(doc, {"form", "c0", "c1"}, {"form", "c0", "c1"}, "affine outside_option")
-        return AffineOutside(doc["c0"], doc["c1"])
-    if form == "table":
-        _check_keys(doc, {"form", "points"}, {"form", "points"}, "table outside_option")
-        return TableOutside([tuple(p) for p in doc["points"]])
-    raise ConfigError(f"unknown outside_option form {form!r}")
-
-
-def _build_noise(doc):
-    _check_keys(
-        doc,
-        allowed={"kind", "points", "probs", "lo", "hi", "mu", "sigma"},
-        required={"kind"},
-        where="win_payoff.noise",
-    )
-    kind = doc["kind"]
-    if kind == "discrete":
-        _check_keys(doc, {"kind", "points", "probs"}, {"kind", "points", "probs"}, "discrete noise")
-        return DiscreteNoise(doc["points"], doc["probs"])
-    if kind == "uniform":
-        _check_keys(doc, {"kind", "lo", "hi"}, {"kind", "lo", "hi"}, "uniform noise")
-        return UniformNoise(doc["lo"], doc["hi"])
-    if kind == "truncated_normal":
-        _check_keys(
-            doc,
-            {"kind", "mu", "sigma", "lo", "hi"},
-            {"kind", "mu", "sigma", "lo", "hi"},
-            "truncated_normal noise",
-        )
-        return TruncatedNormalNoise(doc["mu"], doc["sigma"], doc["lo"], doc["hi"])
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def _build_win_payoff(doc):
-    _check_keys(
-        doc,
-        allowed={"form", "scale", "noise"},
-        required={"form"},
-        where="win_payoff",
-    )
-    form = doc["form"]
-    if form == "deterministic":
-        _check_keys(doc, {"form"}, {"form"}, "deterministic win_payoff")
-        return DeterministicWin()
-    if form == "additive_noise":
-        _check_keys(doc, {"form", "scale", "noise"}, {"form", "scale", "noise"}, "win_payoff")
-        return NoisyWin(_build_noise(doc["noise"]), doc["scale"])
-    raise ConfigError(f"unknown win_payoff form {form!r}")
+    return _build_tagged(doc, "family", _UTILITIES, where)
 
 
 def _build_tolerances(doc):
@@ -217,7 +191,7 @@ def _build_tolerances(doc):
     )
     out = dict(_DEFAULT_TOLERANCES)
     for key, val in doc.items():
-        val = float(val)
+        val = finite_number(val, f"tolerances.{key}")
         if not val > 0:
             raise ConfigError(f"tolerances.{key} must be > 0, got {val}")
         out[key] = val
@@ -255,7 +229,8 @@ def build_scenario(doc):
         if doc.get("transform") is not None
         else None
     )
-    outside = _build_outside(doc.get("outside_option", {"form": "constant"}))
+    outside_doc = doc.get("outside_option", {"form": "constant"})
+    outside = _build_tagged(outside_doc, "form", _OUTSIDES, "outside_option")
     tolerances = _build_tolerances(doc.get("tolerances"))
     grid = doc.get("grid", 257)
     if not isinstance(grid, int) or isinstance(grid, bool):
@@ -279,7 +254,9 @@ def build_scenario(doc):
             outside=outside,
             utility=utility,
             transform=transform,
-            boundary_bid=doc.get("boundary_bid"),
+            boundary_bid=None
+            if doc.get("boundary_bid") is None
+            else finite_number(doc["boundary_bid"], "boundary_bid"),
             grid=grid,
             ode_tol=tolerances["ode_tol"],
         )
@@ -298,7 +275,8 @@ def build_scenario(doc):
         raise ConfigError(
             "second price sells exactly one unit; use format 'uniform' for K >= 2"
         )
-    win_payoff = _build_win_payoff(doc.get("win_payoff", {"form": "deterministic"}))
+    win_doc = doc.get("win_payoff", {"form": "deterministic"})
+    win_payoff = _build_tagged(win_doc, "form", _WIN_PAYOFFS, "win_payoff")
     scenario = SPAScenario(
         values=values,
         outside=outside,
@@ -326,5 +304,5 @@ def load_config(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -24,10 +24,12 @@ option the lower bid is always safer.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .config import finite_number
 from .errors import (
     BidOrderError,
     ConfigError,
@@ -43,6 +45,10 @@ from .utility import PiecewiseLinearUtility
 TAU_EQ = 1e-9
 #: slack when verifying preserved preference in probes
 PROBE_SLACK = 1e-12
+#: slope of a witness transform below its kink (slope 1 above it)
+WITNESS_RATIO = 100.0
+#: witness beliefs sit this far past the indifference belief
+_WITNESS_OFFSETS = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25])
 
 
 class Dominance(enum.Enum):
@@ -141,19 +147,17 @@ class SpaSafetyReport:
 # generic finite-state safety
 
 
-def partition_abc(problem, tol=TAU_EQ):
+def partition_abc(problem):
     diff = problem.a - problem.b
     idx = np.arange(problem.n_states)
     return PartitionABC(
-        a_better=idx[diff > tol],
-        b_better=idx[diff < -tol],
-        equal=idx[np.abs(diff) <= tol],
+        a_better=idx[diff > TAU_EQ],
+        b_better=idx[diff < -TAU_EQ],
+        equal=idx[np.abs(diff) <= TAU_EQ],
     )
 
 
-def check_dominance(problem, tol=TAU_EQ):
-    """Classify the pair; raises IdenticalActions when the two coincide."""
-    part = partition_abc(problem, tol)
+def _dominance(part):
     has_a = part.a_better.size > 0
     has_b = part.b_better.size > 0
     if not has_a and not has_b:
@@ -165,48 +169,56 @@ def check_dominance(problem, tol=TAU_EQ):
     return Dominance.NONE
 
 
-def is_safer(problem, tol=TAU_EQ):
+def check_dominance(problem):
+    """Classify the pair; raises IdenticalActions when the two coincide."""
+    return _dominance(partition_abc(problem))
+
+
+def _cross_margins(problem):
+    # margins[i, j] > TAU_EQ: the cross pair (up[i], dn[j]) breaks one of
+    # b[dn] >= a[up], a[dn] >= b[up]; both index lists ascend
+    part = partition_abc(problem)
+    a, b = problem.a, problem.b
+    up, dn = part.a_better[:, None], part.b_better[None, :]
+    return part, np.maximum(a[up] - b[dn], b[up] - a[dn])
+
+
+def _nondominated_margins(problem):
+    part, margins = _cross_margins(problem)
+    if _dominance(part) is not Dominance.NONE:
+        raise DominancePrecondition("safety is undefined for dominated pairs")
+    return part, margins
+
+
+def is_safer(problem):
     """Is action a safer than action b?  Requires a non-dominated pair.
 
     Returns a verdict; when the answer is no, ``witness`` is the
     lexicographically first pair (state where a wins, state where b
     wins) whose cross comparison fails.
     """
-    if check_dominance(problem, tol) is not Dominance.NONE:
-        raise DominancePrecondition("safety is undefined for dominated pairs")
-    part = partition_abc(problem, tol)
-    up, dn = part.a_better, part.b_better
-    a, b = problem.a, problem.b
-    # fails[i, j]: the cross comparison of (up[i], dn[j]) breaks; both
-    # index lists ascend, so the first hit is the lexicographic first
-    fails = (b[dn][None, :] < a[up][:, None] - tol) | (
-        a[dn][None, :] < b[up][:, None] - tol
-    )
+    part, margins = _nondominated_margins(problem)
+    fails = margins > TAU_EQ
     if not np.any(fails):
         return SafetyVerdict(safer=True)
     i, j = np.unravel_index(np.argmax(fails), fails.shape)
-    return SafetyVerdict(safer=False, witness=(int(up[i]), int(dn[j])))
-
-
-def violation_margin(problem, tol=TAU_EQ):
-    """How badly the worst cross-pair inequality fails (<= 0 when safer)."""
-    part = partition_abc(problem, tol)
-    up, dn = part.a_better, part.b_better
-    if up.size == 0 or dn.size == 0:
-        return 0.0
-    a, b = problem.a, problem.b
-    return float(
-        max(np.max(a[up]) - np.min(b[dn]), np.max(b[up]) - np.min(a[dn]))
+    return SafetyVerdict(
+        safer=False, witness=(int(part.a_better[i]), int(part.b_better[j]))
     )
 
 
-def belief_inclusion_probe(problem, base_utility, transform, beliefs,
-                           slack=PROBE_SLACK):
+def violation_margin(problem):
+    """How badly the worst cross-pair inequality fails (<= 0 when safer)."""
+    margins = _cross_margins(problem)[1]
+    return float(np.max(margins)) if margins.size else 0.0
+
+
+def belief_inclusion_probe(problem, base_utility, transform, beliefs):
     """Check preference preservation on explicit beliefs.
 
     For every belief that weakly prefers a under ``base_utility``, the
-    transformed utility must still weakly prefer a (up to ``slack`` of
-    floating-point room).  Returns the first offending belief if any.
+    transformed utility must still weakly prefer a (up to ``PROBE_SLACK``
+    of floating-point room).  Returns the first offending belief if any.
     """
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     if beliefs.shape[1] != problem.n_states:
@@ -220,7 +232,7 @@ def belief_inclusion_probe(problem, base_utility, transform, beliefs,
     ua, ub = base_utility.value(problem.a), base_utility.value(problem.b)
     ta, tb = transform.value(ua), transform.value(ub)
     prefers_a = beliefs @ (ua - ub) >= 0.0
-    keeps_a = beliefs @ (ta - tb) >= -slack
+    keeps_a = beliefs @ (ta - tb) >= -PROBE_SLACK
     bad = prefers_a & ~keeps_a
     if not np.any(bad):
         return ProbeReport(holds=True)
@@ -229,84 +241,53 @@ def belief_inclusion_probe(problem, base_utility, transform, beliefs,
 
 def sample_beliefs(n_states, count, rng):
     """Simplex vertices, edge midpoints, then Dirichlet(1,..,1) samples."""
-    rows = [np.eye(n_states)]
-    mids = []
-    for i in range(n_states):
-        for j in range(i + 1, n_states):
-            m = np.zeros(n_states)
-            m[i] = m[j] = 0.5
-            mids.append(m)
-    if mids:
-        rows.append(np.array(mids))
-    fixed = np.vstack(rows)
+    i, j = np.triu_indices(n_states, 1)
+    mids = np.zeros((i.size, n_states))
+    rows = np.arange(i.size)
+    mids[rows, i] = mids[rows, j] = 0.5
+    fixed = np.vstack([np.eye(n_states), mids])
     if count <= fixed.shape[0]:
         return fixed[:count]
     extra = rng.dirichlet(np.ones(n_states), size=count - fixed.shape[0])
     return np.vstack([fixed, extra])
 
 
-def _kinked_transform(kink, ratio):
-    # slope `ratio` strictly below the kink, slope 1 above it
-    return PiecewiseLinearUtility([(kink - 1.0, ratio), (kink, 1.0)])
-
-
-def find_violation_witness(problem, base_utility, ratios=(2.0, 5.0, 10.0, 100.0),
-                           tol=TAU_EQ):
+def find_violation_witness(problem, base_utility):
     """Exhibit a belief and concave transform that reverse the preference.
 
-    Only meaningful when :func:`is_safer` said no.  Searches two-point
-    beliefs on the failing state pair crossed with single-kink
-    piecewise-linear transforms, the kink swept across the four relevant
-    payoff levels and the slope ratio over ``ratios``.  Returns
-    ``(belief, transform)`` or ``None`` if the sweep finds nothing.
+    Only meaningful when :func:`is_safer` said no.  Failing cross pairs
+    (i, j) are tried worst margin first.  The gain intervals
+    [u(b_i), u(a_i)] and [u(a_j), u(b_j)] fail to nest, so one kink
+    separates them: at u(b_i) when it lies above u(a_j), else at u(b_j).
+    The transform has slope ``WITNESS_RATIO`` below the kink and 1 above
+    it; two-point beliefs on (i, j) just past indifference under u are
+    certified by :func:`belief_inclusion_probe`.  Returns
+    ``(belief, transform)`` or ``None`` if no pair gives a reversal.
     """
-    verdict = is_safer(problem, tol)
-    if verdict.safer:
+    part, margins = _nondominated_margins(problem)
+    fails = np.flatnonzero(margins > TAU_EQ)
+    if fails.size == 0:
         raise PreconditionError("witness search requires a non-safer verdict")
-    part = partition_abc(problem, tol)
-    a, b = problem.a, problem.b
-
-    # all cross pairs whose inequality fails, worst margin first
-    pairs = []
-    for i in part.a_better:
-        for j in part.b_better:
-            margin = max(a[i] - b[j], b[i] - a[j])
-            if margin > tol:
-                pairs.append((float(margin), int(i), int(j)))
-    pairs.sort(key=lambda t: -t[0])
-
-    u = base_utility
-    offsets = (0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25)
-    for _, i, j in pairs:
-        ua_i, ub_i = float(u.value(a[i])), float(u.value(b[i]))
-        ua_j, ub_j = float(u.value(a[j])), float(u.value(b[j]))
-        d_i = ua_i - ub_i   # > 0: state where a wins
-        d_j = ua_j - ub_j   # < 0: state where b wins
-        p_star = -d_j / (d_i - d_j)
-        kinks = sorted({ua_i, ub_i, ua_j, ub_j})
-        for kink in kinks:
-            for ratio in ratios:
-                phi = _kinked_transform(kink, ratio)
-                td_i = float(phi.value(ua_i)) - float(phi.value(ub_i))
-                td_j = float(phi.value(ua_j)) - float(phi.value(ub_j))
-                for off in offsets:
-                    p = p_star + off
-                    if not 0.0 <= p <= 1.0:
-                        continue
-                    if p * d_i + (1.0 - p) * d_j < 0.0:
-                        continue  # belief no longer prefers a under u
-                    if p * td_i + (1.0 - p) * td_j < -PROBE_SLACK:
-                        belief = np.zeros(problem.n_states)
-                        belief[i] = p
-                        belief[j] = 1.0 - p
-                        # certify with the probe itself; right at the
-                        # indifference belief the probe's dot product can
-                        # round the other way, so keep sweeping if it does
-                        report = belief_inclusion_probe(
-                            problem, base_utility, phi, belief[None, :]
-                        )
-                        if not report.holds:
-                            return belief, phi
+    # row-major order is lexicographic; the stable sort keeps it among ties
+    fails = fails[np.argsort(-margins.flat[fails], kind="stable")]
+    up, dn = np.unravel_index(fails, margins.shape)
+    ua = base_utility.value(problem.a)
+    ub = base_utility.value(problem.b)
+    for i, j in zip(part.a_better[up], part.b_better[dn]):
+        d_i = float(ua[i] - ub[i])   # > 0: state where a wins
+        d_j = float(ua[j] - ub[j])   # < 0: state where b wins
+        kink = float(ub[i] if ub[i] > ua[j] else ub[j])
+        phi = PiecewiseLinearUtility([(kink - 1.0, WITNESS_RATIO), (kink, 1.0)])
+        # certify one belief at a time: right at indifference a stacked
+        # probe can round the other way from the single-belief one
+        for p in -d_j / (d_i - d_j) + _WITNESS_OFFSETS:
+            if p > 1.0:
+                break
+            belief = np.zeros(problem.n_states)
+            belief[i], belief[j] = p, 1.0 - p
+            report = belief_inclusion_probe(problem, base_utility, phi, belief[None, :])
+            if not report.holds:
+                return belief, phi
     return None
 
 
@@ -314,57 +295,67 @@ def find_violation_witness(problem, base_utility, ratios=(2.0, 5.0, 10.0, 100.0)
 # auction payoffs
 
 
-def _wins(bid, gamma, tie_flag, tol):
-    if bid > gamma + tol:
-        return True
-    if abs(bid - gamma) <= tol:
-        return tie_flag
-    return False
+_FIELDS = attrgetter("gamma", "value", "outside", "tie_high", "tie_low")
 
 
-def auction_partition(bid_a, bid_b, states, tol=TAU_EQ):
+class _Columns(NamedTuple):
+    """State records as arrays."""
+
+    gamma: np.ndarray
+    value: np.ndarray
+    outside: np.ndarray
+    tie_high: np.ndarray
+    tie_low: np.ndarray
+
+    @classmethod
+    def of(cls, states):
+        # columns pass through, so a report converts its states only once
+        if isinstance(states, cls):
+            return states
+        rows = np.array([_FIELDS(st) for st in states], dtype=float).reshape(-1, 5)
+        g, v, s, th, tl = rows.T
+        return cls(g, v, s, th != 0.0, tl != 0.0)
+
+
+def _wins(bid, gamma, tie):
+    return (bid > gamma + TAU_EQ) | ((np.abs(bid - gamma) <= TAU_EQ) & tie)
+
+
+def auction_partition(bid_a, bid_b, states):
     """Split states by allocation outcome for an ordered bid pair a > b."""
     if not bid_a > bid_b:
         raise BidOrderError(f"need bid_a > bid_b, got {bid_a} <= {bid_b}")
-    both, pivotal, neither = [], [], []
-    for idx, st in enumerate(states):
-        if _wins(bid_b, st.gamma, st.tie_low, tol):
-            both.append(idx)
-        elif not _wins(bid_a, st.gamma, st.tie_high, tol):
-            neither.append(idx)
-        else:
-            pivotal.append(idx)
+    cols = _Columns.of(states)
+    low = _wins(bid_b, cols.gamma, cols.tie_low)
+    high = _wins(bid_a, cols.gamma, cols.tie_high)
     return AuctionPartition(
-        both=np.array(both, dtype=int),
-        pivotal=np.array(pivotal, dtype=int),
-        neither=np.array(neither, dtype=int),
+        both=np.flatnonzero(low),
+        pivotal=np.flatnonzero(~low & high),
+        neither=np.flatnonzero(~low & ~high),
     )
 
 
-def _payoffs(bid, states, role, tol, pays_bid):
+def _payoffs(bid, cols, role, pays_bid):
     # winners pay their own bid (first price) or the threshold (second)
     if role not in ("high", "low"):
         raise ConfigError(f"role must be 'high' or 'low', got {role!r}")
-    out = np.empty(len(states))
-    for idx, st in enumerate(states):
-        flag = st.tie_high if role == "high" else st.tie_low
-        price = bid if pays_bid else st.gamma
-        out[idx] = st.value - price if _wins(bid, st.gamma, flag, tol) else st.outside
-    return out
+    tie = cols.tie_high if role == "high" else cols.tie_low
+    price = bid if pays_bid else cols.gamma
+    return np.where(_wins(bid, cols.gamma, tie), cols.value - price, cols.outside)
 
 
-def fpa_payoffs(bid, states, role="high", tol=TAU_EQ):
+def fpa_payoffs(bid, states, role="high"):
     """First-price payoffs of one bid: value - bid if it wins, else outside.
 
     ``role`` selects which tie flag applies when the bid exactly equals
     a state's threshold ("high" or "low" member of the pair).
     """
-    return _payoffs(bid, states, role, tol, pays_bid=True)
+    return _payoffs(bid, _Columns.of(states), role, pays_bid=True)
 
 
-def spa_payoffs(bid, states, role="high", tol=TAU_EQ):
+def spa_payoffs(bid, states, role="high"):
     """Second-price payoffs: value - threshold if the bid wins, else outside."""
-    return _payoffs(bid, states, role, tol, pays_bid=False)
+    return _payoffs(bid, _Columns.of(states), role, pays_bid=False)
 
 
 def _check_invariant(holds, message):
@@ -373,14 +364,13 @@ def _check_invariant(holds, message):
         raise InvariantViolation(message)
 
 
-def check_winning_cannot_hurt(bid, states, tol=TAU_EQ):
+def check_winning_cannot_hurt(bid, states):
     """Worst winning surplus at this bid at least the best outside option."""
-    values = np.array([st.value for st in states])
-    outs = np.array([st.outside for st in states])
-    return bool(np.min(values - bid) >= np.max(outs) - tol)
+    cols = _Columns.of(states)
+    return bool(np.min(cols.value - bid) >= np.max(cols.outside) - TAU_EQ)
 
 
-def check_low_bids_better_winners(bid_a, bid_b, states, partition, tol=TAU_EQ):
+def check_low_bids_better_winners(bid_a, bid_b, states, partition):
     """On the first-price payoffs, b's winning surpluses dominate a's.
 
     ``partition`` is the strict payoff partition of (high, low) first
@@ -389,26 +379,31 @@ def check_low_bids_better_winners(bid_a, bid_b, states, partition, tol=TAU_EQ):
     up, dn = partition.a_better, partition.b_better
     if up.size == 0 or dn.size == 0:
         return True
-    values = np.array([st.value for st in states])
-    return bool(np.min(values[dn] - bid_b) >= np.max(values[up] - bid_a) - tol)
+    v = _Columns.of(states).value
+    return bool(np.min(v[dn] - bid_b) >= np.max(v[up] - bid_a) - TAU_EQ)
 
 
-def fpa_higher_bid_safer(bid_a, bid_b, states, tol=TAU_EQ):
+def _check_separated(bid_a, bid_b):
+    if not bid_a > bid_b + TAU_EQ:
+        raise BidOrderError(
+            f"need bid_a > bid_b separated by more than {TAU_EQ:g}"
+        )
+
+
+def fpa_higher_bid_safer(bid_a, bid_b, states):
     """Safety verdict for the higher of two first-price bids.
 
     Builds both payoff vectors, evaluates :func:`is_safer` for the high
     bid, and reports the two sufficient payoff conditions alongside.
     Requires strictly separated bids and a non-dominated pair.
     """
-    if not bid_a > bid_b + tol:
-        raise BidOrderError(
-            f"need bid_a > bid_b separated by more than {tol:g}"
-        )
-    pay_a = fpa_payoffs(bid_a, states, "high", tol)
-    pay_b = fpa_payoffs(bid_b, states, "low", tol)
+    _check_separated(bid_a, bid_b)
+    cols = _Columns.of(states)
+    pay_a = _payoffs(bid_a, cols, "high", pays_bid=True)
+    pay_b = _payoffs(bid_b, cols, "low", pays_bid=True)
     problem = FiniteDecisionProblem(pay_a, pay_b, states)
-    part = partition_abc(problem, tol)
-    apart = auction_partition(bid_a, bid_b, states, tol)
+    part = partition_abc(problem)
+    apart = auction_partition(bid_a, bid_b, cols)
 
     # structural facts for first price: winning twice at a higher price is
     # strictly worse, never winning is identical, strict gains need a win
@@ -419,9 +414,9 @@ def fpa_higher_bid_safer(bid_a, bid_b, states, tol=TAU_EQ):
     _check_invariant(set(part.a_better) <= set(apart.pivotal),
                      "the high bid can only gain where it alone wins")
 
-    cond_hurt = check_winning_cannot_hurt(bid_a, states, tol)
-    cond_low = check_low_bids_better_winners(bid_a, bid_b, states, part, tol)
-    verdict = is_safer(problem, tol)
+    cond_hurt = check_winning_cannot_hurt(bid_a, cols)
+    cond_low = check_low_bids_better_winners(bid_a, bid_b, cols, part)
+    verdict = is_safer(problem)
     _check_invariant(verdict.safer or not (cond_hurt and cond_low),
                      "sufficient conditions held but safety failed")
     return FpaSafetyReport(
@@ -434,8 +429,7 @@ def fpa_higher_bid_safer(bid_a, bid_b, states, tol=TAU_EQ):
     )
 
 
-def spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=True,
-                        tol=TAU_EQ):
+def spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=True):
     """Safety verdict for the lower of two second-price bids.
 
     The comparison puts the *low* bid in the candidate-safer role.  With
@@ -444,27 +438,24 @@ def spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=True,
     allocation); pass ``require_constant_outside=False`` to evaluate the
     relation without that guarantee.
     """
-    if not bid_a > bid_b + tol:
-        raise BidOrderError(
-            f"need bid_a > bid_b separated by more than {tol:g}"
-        )
-    outs = np.array([st.outside for st in states])
-    constant = bool(np.max(outs) - np.min(outs) <= tol)
+    _check_separated(bid_a, bid_b)
+    cols = _Columns.of(states)
+    constant = bool(np.max(cols.outside) - np.min(cols.outside) <= TAU_EQ)
     if require_constant_outside and not constant:
         raise OutsideOptionNotConstant(
             "the lower-bid guarantee needs a state-independent outside option"
         )
-    pay_hi = spa_payoffs(bid_a, states, "high", tol)
-    pay_lo = spa_payoffs(bid_b, states, "low", tol)
+    pay_hi = _payoffs(bid_a, cols, "high", pays_bid=False)
+    pay_lo = _payoffs(bid_b, cols, "low", pays_bid=False)
     problem = FiniteDecisionProblem(pay_lo, pay_hi, states)
-    apart = auction_partition(bid_a, bid_b, states, tol)
+    apart = auction_partition(bid_a, bid_b, cols)
 
     # both bids pay the same price when both (or neither) win
-    part = partition_abc(problem, tol)
+    part = partition_abc(problem)
     _check_invariant(set(apart.both) | set(apart.neither) <= set(part.equal),
                      "both bids must pay the same where both or neither win")
 
-    verdict = is_safer(problem, tol)
+    verdict = is_safer(problem)
     _check_invariant(verdict.safer or not constant,
                      "known outside option must make the low bid safer")
     return SpaSafetyReport(
@@ -503,16 +494,20 @@ def problem_from_dict(doc):
         for key in ("gamma", "value", "outside"):
             if key not in raw:
                 raise ConfigError(f"state {k} is missing {key!r}")
+        for key in ("tie_high", "tie_low"):
+            if not isinstance(raw.get(key, False), bool):
+                raise ConfigError(f"state {k}.{key} must be a boolean, got {raw[key]!r}")
         states.append(
             StateRecord(
-                gamma=float(raw["gamma"]),
-                value=float(raw["value"]),
-                outside=float(raw["outside"]),
-                tie_high=bool(raw.get("tie_high", False)),
-                tie_low=bool(raw.get("tie_low", False)),
+                gamma=finite_number(raw["gamma"], f"state {k}.gamma"),
+                value=finite_number(raw["value"], f"state {k}.value"),
+                outside=finite_number(raw["outside"], f"state {k}.outside"),
+                tie_high=raw.get("tie_high", False),
+                tie_low=raw.get("tie_low", False),
             )
         )
-    return states, float(doc["bid_a"]), float(doc["bid_b"])
+    bid_a, bid_b = (finite_number(doc[key], key) for key in ("bid_a", "bid_b"))
+    return states, bid_a, bid_b
 
 
 def problem_to_dict(states, bid_a, bid_b):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from riskbid.cli import main, read_solution_csv
+from riskbid.config import build_scenario
 
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
 
@@ -115,11 +116,59 @@ def test_solve_domain_breach_is_solver_error(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_config_errors_exit_3(tmp_path):
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _numeric_leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            yield from _numeric_leaves(val, path + (key,))
+    elif isinstance(doc, list):
+        for i, val in enumerate(doc):
+            yield from _numeric_leaves(val, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _replaced(doc, path, val):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = val
+    return doc
+
+
+def _malformed_configs():
+    """Each numeric leaf of the scenario configs (bare and canonical) made
+    a non-number or a non-finite number, plus misshapen lists and
+    non-string tags."""
+    for name in ("fpa_crra", "spa_noisy_cara", "uniform_two_units"):
+        with open(os.path.join(CONFIG_DIR, name + ".json")) as fh:
+            raw = json.load(fh)
+        for doc in (raw, build_scenario(raw)[2]):
+            for path in _numeric_leaves(doc):
+                for bad in ("x", None, [1], True, float("nan"), float("inf")):
+                    if not (bad is None and path == ("boundary_bid",)):  # the default
+                        yield _replaced(doc, path, bad)
+    pw = {"family": "piecewise_linear", "knots": [[0.0, 1.0]]}
+    for knots in ([[0, 1, 2]], 5, [[0, None]]):
+        yield _replaced(dict(FPA_CFG, utility=pw), ("utility", "knots"), knots)
+    mix = json.loads(json.dumps(SPA_CFG))
+    mix["values"] = {"support": [0.0, 1.0], "n": 3, "kind": "mixture", "components": 5}
+    yield mix
+    yield _replaced(SPA_CFG, ("win_payoff", "noise", "probs"), 5)
+    yield _replaced(FPA_CFG, ("utility", "family"), [1])
+    yield _replaced(FPA_CFG, ("values", "dist", "family"), 5)
+
+
+def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 3
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
+    bad.write_text('{"format": "fpa", "grid": ' + "9" * 5000 + "}")
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "x")]) == 3
     unknown = dict(FPA_CFG)
     unknown["extra_knob"] = 1
@@ -129,6 +178,16 @@ def test_config_errors_exit_3(tmp_path):
     misformat["format"] = "english"
     cfg = write_cfg(tmp_path, misformat, "fmt.json")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    capsys.readouterr()
+    count = 0
+    for doc in _malformed_configs():
+        cfg = write_cfg(tmp_path, doc, "malformed.json")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 3, doc
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        count += 1
+    assert count > 400
+    assert not (tmp_path / "x").exists()
 
 
 def test_argparse_errors_exit_3(tmp_path):
@@ -223,9 +282,19 @@ def test_safety_dominated_exits_5(tmp_path, capsys):
     assert doc["error"] == "DominancePrecondition"
 
 
-def test_safety_rejects_malformed_problem(tmp_path):
-    cfg = write_cfg(tmp_path, {"states": [], "bid_a": 1.0}, "problem.json")
-    assert main(["safety", "--config", cfg]) == 3
+def test_safety_rejects_malformed_problem(tmp_path, capsys):
+    docs = [{"states": [], "bid_a": 1.0}]
+    for key, bad in (("gamma", "x"), ("value", [1]), ("gamma", float("nan")),
+                     ("outside", True), ("tie_high", "no"), ("tie_low", 1)):
+        doc = json.loads(json.dumps(SAFE_PROBLEM))
+        doc["states"][1][key] = bad
+        docs.append(doc)
+    docs += [dict(SAFE_PROBLEM, bid_a=None), dict(SAFE_PROBLEM, bid_b=float("inf"))]
+    for doc in docs:
+        cfg = write_cfg(tmp_path, doc, "problem.json")
+        assert main(["safety", "--config", cfg]) == 3, doc
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from riskbid import (
     CARAUtility,
+    CRRAUtility,
     BidOrderError,
     Dominance,
     DominancePrecondition,
@@ -19,6 +20,8 @@ from riskbid import (
     IdenticalActions,
     InvariantViolation,
     LinearUtility,
+    LogUtility,
+    PiecewiseLinearUtility,
     PreconditionError,
     StateRecord,
     auction_partition,
@@ -38,6 +41,7 @@ from riskbid import (
     spa_payoffs,
     violation_margin,
 )
+from riskbid.safety import PROBE_SLACK, TAU_EQ
 from conftest import (
     constructed_safe_problem,
     known_outside_states,
@@ -178,6 +182,87 @@ def test_witness_search_on_random_violations():
     assert tried > 20
 
 
+def reference_witness_sweep(problem, base_utility):
+    # the former search: failing pairs worst first, each crossed with a
+    # kink at every payoff level, every slope ratio and every offset
+    part = partition_abc(problem)
+    a, b = problem.a, problem.b
+    pairs = []
+    for i in part.a_better:
+        for j in part.b_better:
+            margin = max(a[i] - b[j], b[i] - a[j])
+            if margin > TAU_EQ:
+                pairs.append((float(margin), int(i), int(j)))
+    pairs.sort(key=lambda t: -t[0])
+    u = base_utility
+    offsets = (0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25)
+    for _, i, j in pairs:
+        ua_i, ub_i = float(u.value(a[i])), float(u.value(b[i]))
+        ua_j, ub_j = float(u.value(a[j])), float(u.value(b[j]))
+        d_i, d_j = ua_i - ub_i, ua_j - ub_j
+        p_star = -d_j / (d_i - d_j)
+        for kink in sorted({ua_i, ub_i, ua_j, ub_j}):
+            for ratio in (2.0, 5.0, 10.0, 100.0):
+                phi = PiecewiseLinearUtility([(kink - 1.0, ratio), (kink, 1.0)])
+                td_i = float(phi.value(ua_i)) - float(phi.value(ub_i))
+                td_j = float(phi.value(ua_j)) - float(phi.value(ub_j))
+                for off in offsets:
+                    p = p_star + off
+                    if not 0.0 <= p <= 1.0:
+                        continue
+                    if p * d_i + (1.0 - p) * d_j < 0.0:
+                        continue
+                    if p * td_i + (1.0 - p) * td_j < -PROBE_SLACK:
+                        belief = np.zeros(problem.n_states)
+                        belief[i], belief[j] = p, 1.0 - p
+                        if not belief_inclusion_probe(problem, u, phi, belief[None, :]).holds:
+                            return belief, phi
+    return None
+
+
+def _near_tolerance_problem(rng):
+    # a safe problem pushed just past one cross inequality, by 1e-9 to 1e-3
+    p = constructed_safe_problem(rng)
+    a, b = p.a.copy(), p.b.copy()
+    part = partition_abc(p)
+    i, j = rng.choice(part.a_better), rng.choice(part.b_better)
+    eps = 10.0 ** rng.uniform(-9.0, -3.0)
+    if rng.random() < 0.5:
+        a[i] = b[j] + eps
+    else:
+        a[j] = b[i] - eps
+    return FiniteDecisionProblem(a, b)
+
+
+def test_witness_rule_finds_exactly_where_the_sweep_does():
+    rng = np.random.default_rng(17)
+    # not safer by 6e-8, but the reversal stays below PROBE_SLACK
+    missed = FiniteDecisionProblem(
+        [10.51804797556997, 10.518047912418757, 7.673382786082209],
+        [10.490578053335557, 10.518047915007589, 7.673382786082209],
+    )
+    assert find_violation_witness(missed, LinearUtility()) is None
+    assert reference_witness_sweep(missed, LinearUtility()) is None
+    bases = (LinearUtility(), CRRAUtility(0.5, shift=0.5), CARAUtility(0.3),
+             LogUtility(shift=1.0))
+    checked = 0
+    for base in bases:
+        for k in range(120):
+            p = _near_tolerance_problem(rng) if k % 2 else random_problem(rng)
+            try:
+                if is_safer(p).safer:
+                    continue
+            except (DominancePrecondition, IdenticalActions):
+                continue
+            found = find_violation_witness(p, base)
+            assert (found is None) == (reference_witness_sweep(p, base) is None), (p, base)
+            if found is not None:
+                belief, phi = found
+                assert not belief_inclusion_probe(p, base, phi, belief[None, :]).holds
+            checked += 1
+    assert checked > 300
+
+
 def test_sample_beliefs_structure():
     rng = np.random.default_rng(0)
     beliefs = sample_beliefs(3, 40, rng)
@@ -262,6 +347,65 @@ def test_spa_payoffs():
     np.testing.assert_allclose(pay_lo, [0.8, 0.2, 0.2, 0.2])
 
 
+def reference_wins(bid, gamma, tie_flag):
+    if bid > gamma + TAU_EQ:
+        return True
+    if abs(bid - gamma) <= TAU_EQ:
+        return tie_flag
+    return False
+
+
+def reference_auction_partition(bid_a, bid_b, states):
+    both, pivotal, neither = [], [], []
+    for idx, s in enumerate(states):
+        if reference_wins(bid_b, s.gamma, s.tie_low):
+            both.append(idx)
+        elif not reference_wins(bid_a, s.gamma, s.tie_high):
+            neither.append(idx)
+        else:
+            pivotal.append(idx)
+    return [np.array(x, dtype=int) for x in (both, pivotal, neither)]
+
+
+def reference_payoffs(bid, states, role, pays_bid):
+    out = np.empty(len(states))
+    for idx, s in enumerate(states):
+        flag = s.tie_high if role == "high" else s.tie_low
+        price = bid if pays_bid else s.gamma
+        out[idx] = s.value - price if reference_wins(bid, s.gamma, flag) else s.outside
+    return out
+
+
+@st.composite
+def _bids_and_states(draw):
+    # near 1e-9, bid - (bid - TAU_EQ) is exactly TAU_EQ; at larger bids
+    # rounding puts it just off the tie boundary
+    bid_b = draw(st.one_of(st.floats(0.1, 1.0), st.sampled_from([TAU_EQ, 2.0 * TAU_EQ])))
+    bid_a = bid_b + draw(st.sampled_from([2e-9, 1e-6, 0.3]))
+    edges = [bid + k * TAU_EQ for bid in (bid_a, bid_b) for k in (-1.0, 0.0, 1.0)]
+    gamma = st.one_of(st.floats(0.0, 1.5), st.sampled_from(edges))
+    states = draw(st.lists(
+        st.builds(StateRecord, gamma, st.floats(-1.0, 3.0), st.floats(-1.0, 1.0),
+                  st.booleans(), st.booleans()),
+        min_size=1, max_size=8,
+    ))
+    return bid_a, bid_b, states
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bids_and_states())
+def test_array_payoffs_match_scalar_reference(case):
+    bid_a, bid_b, states = case
+    part = auction_partition(bid_a, bid_b, states)
+    for got, ref in zip((part.both, part.pivotal, part.neither),
+                        reference_auction_partition(bid_a, bid_b, states)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    for bid, role in ((bid_a, "high"), (bid_b, "low"), (bid_a, "low"), (bid_b, "high")):
+        for payoffs, pays_bid in ((fpa_payoffs, True), (spa_payoffs, False)):
+            got = payoffs(bid, states, role=role)
+            assert got.tobytes() == reference_payoffs(bid, states, role, pays_bid).tobytes()
+
+
 def test_fpa_report_on_known_values_environment():
     # constant value, constant outside option, winning is always profitable
     states = [
@@ -319,7 +463,7 @@ def test_spa_report_lower_bid_safer():
 
 def _first_failing_pair(problem, tol=1e-9):
     # reference: scan the cross pairs in lexicographic order
-    part = partition_abc(problem, tol)
+    part = partition_abc(problem)
     a, b = problem.a, problem.b
     for i in part.a_better:
         for j in part.b_better:
