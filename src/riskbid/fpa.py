@@ -19,8 +19,15 @@ starting slope solves slope = hazard * tradeoff evaluated at the bid
 the slope itself implies, clipped so the starting bid keeps strictly
 positive surplus.  The attracting character of the singular point makes
 the solution insensitive to the exact offset.
+
+The integrator calls the right-hand side one scalar at a time, a few
+hundred times per solve.  Those calls pass Python floats, so the hazard,
+outside option and utility evaluators take their float branches: the
+same kernels, checks and rounding as for arrays, with float comparisons
+in place of numpy's 0-d machinery.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -60,8 +67,11 @@ def marginal_tradeoff(utility, x, s_v):
     return _tradeoff_raw(utility, x, s_v)
 
 
-def _tradeoff_raw(utility, x, s_v):
-    return (utility.value(x) - utility.value(s_v)) / utility.deriv(x)
+def _tradeoff_raw(utility, x, s_v, value_s=None):
+    """The tradeoff without the surplus check; ``value_s`` evaluates u at
+    s_v in place of ``utility.value`` (the ODE right-hand side memoizes it).
+    """
+    return (utility.value(x) - (value_s or utility.value)(s_v)) / utility.deriv(x)
 
 
 def closed_form_crra_uniform(n, rho):
@@ -270,10 +280,14 @@ def solve_fpa(scenario):
     integration, and ``NonmonotoneSolution`` when the solved bids
     decrease over more than two grid cells.
 
-    The residual check is one array pass over the grid: the vector
-    field at the solved bids (one ``hazard`` call on the whole grid)
-    against the slope of the dense output.  ``derivative_check`` is the
-    largest interior residual scaled by 1 + |field|.
+    Each right-hand-side call converts its stage to Python floats, so
+    every check it makes (utility domain, value support, vanishing win
+    probability) runs as a float comparison on the shared kernels;
+    u at the outside option is memoized for a repeated s(v).  The
+    residual check is one array pass over the grid: the vector field at
+    the solved bids (one ``hazard`` call on the whole grid) against the
+    slope of the dense output.  ``derivative_check`` is the largest
+    interior residual scaled by 1 + |field|.
     """
     u = scenario.effective_utility()
     vm = scenario.values
@@ -304,14 +318,19 @@ def solve_fpa(scenario):
         slope = brentq(slope_gap, 0.0, slope_hi, maxiter=200)
         y0 = b0 + eps * slope
 
+    # a constant outside option repeats s_v at every stage: one-entry memo
+    value_s = functools.lru_cache(maxsize=1)(u.value)
+
     def rhs(v, y):
-        x = v - y[0]
+        # plain floats take the scalar branches of the checked kernels
+        v = float(v)
+        x = v - float(y[0])
         s_v = float(outside.value(v))
         if x <= s_v:
             # only transient trial stages land here; push back toward
             # positive surplus by flattening the field
             return (0.0,)
-        return (vm.hazard(v) * _tradeoff_raw(u, x, s_v),)
+        return (vm.hazard(v) * _tradeoff_raw(u, x, s_v, value_s),)
 
     tol_int = max(5e-14, min(scenario.ode_tol, 1.0) * 1e-3)
     sol = solve_ivp(

@@ -263,6 +263,11 @@ def find_violation_witness(problem, base_utility):
     it; two-point beliefs on (i, j) just past indifference under u are
     certified by :func:`belief_inclusion_probe`.  Returns
     ``(belief, transform)`` or ``None`` if no pair gives a reversal.
+
+    ``None`` does not always mean the search missed a witness.  When the
+    problem's violation margin is within a few 1e-8 of ``TAU_EQ``, the
+    preference reversal a witness can produce may be smaller than
+    ``PROBE_SLACK``, so no belief certifies although the verdict stands.
     """
     part, margins = _nondominated_margins(problem)
     fails = np.flatnonzero(margins > TAU_EQ)

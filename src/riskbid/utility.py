@@ -14,7 +14,8 @@ argument, ``_u(z)`` and ``_du(z)``, and names its domain.  The base
 class evaluates them for every family, on scalars or numpy arrays:
 
 - ``value``/``deriv`` check the domain once and raise ``DomainError``
-  if any entry leaves it; a scalar input gives a float.
+  if any entry leaves it; a scalar input gives a float.  A float input
+  is checked by one float comparison and handed to the kernel as is.
 - ``masked_value`` never raises: it returns an array of the input's
   shape with ``-inf`` at out-of-domain entries, and runs the kernel only
   on the rest.  A composition masks each layer in turn.
@@ -44,16 +45,25 @@ class Utility:
     domain_open = False
 
     def _checked(self, kernel, x):
-        z = np.asarray(x, dtype=float) + self.shift
         lo = self.domain_lo
+        if isinstance(x, float):
+            # a scalar (an ODE stage, say) is checked by one float comparison
+            z = x + self.shift
+            if z <= lo if self.domain_open else z < lo:
+                self._domain_error(z)
+            return float(kernel(z))
+        z = np.asarray(x, dtype=float) + self.shift
         # nothing lies below an unbounded domain, so only bounded ones scan
         if lo > -np.inf and np.any(z <= lo if self.domain_open else z < lo):
-            raise DomainError(
-                f"{type(self).__name__}: argument + shift = {float(np.min(z)):g} outside "
-                f"domain ({'(' if self.domain_open else '['}{lo:g}, inf)"
-            )
+            self._domain_error(np.min(z))
         out = kernel(z)
         return float(out) if z.ndim == 0 else out
+
+    def _domain_error(self, z):
+        raise DomainError(
+            f"{type(self).__name__}: argument + shift = {float(z):g} outside "
+            f"domain ({'(' if self.domain_open else '['}{self.domain_lo:g}, inf)"
+        )
 
     def value(self, x):
         """u(x); raises ``DomainError`` if any entry leaves the domain."""

@@ -6,6 +6,12 @@ component is drawn, then all n values are drawn IID from that
 component's marginal.  Conditioning one bidder's value updates the
 component posterior, which is what makes mixture win probabilities
 value-dependent.
+
+Every evaluator takes a scalar or an array.  A Python float (or
+np.float64) goes through float branches of the support check, the
+uniform and power cdfs and the IID posterior, which round exactly as
+the array path does but skip numpy's 0-d overhead; the ODE right-hand
+side of the first-price solver calls ``hazard`` this way.
 """
 
 import math
@@ -25,6 +31,11 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _any(mask):
+    """np.any, except that a scalar mask (from a float input) is read as is."""
+    return mask if isinstance(mask, (bool, np.bool_)) else np.any(mask)
+
+
 def _first(v, mask):
     """The first entry of v where mask holds, for error messages."""
     return float(np.broadcast_to(v, np.shape(mask))[mask][0])
@@ -39,6 +50,12 @@ class MarginalDist:
             raise ConfigError(f"support must be a finite interval, got [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
+
+    def _unit(self, t):
+        """Position of t in the support as a fraction, clipped to [0, 1]."""
+        if isinstance(t, float):
+            return min(max((t - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+        return np.clip((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def cdf(self, t):
         raise NotImplementedError
@@ -55,11 +72,12 @@ class MarginalDist:
 
 class UniformDist(MarginalDist):
     def cdf(self, t):
-        return np.clip((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return self._unit(t)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, 1.0 / (self.hi - self.lo))
+        if isinstance(t, float):
+            return 1.0 / (self.hi - self.lo)
+        return np.full_like(np.asarray(t, dtype=float), 1.0 / (self.hi - self.lo))
 
     def ppf(self, q):
         return self.lo + (self.hi - self.lo) * np.asarray(q, dtype=float)
@@ -81,14 +99,11 @@ class PowerDist(MarginalDist):
             raise ConfigError(f"power exponent must be > 0, got {k}")
         self.k = k
 
-    def _z(self, t):
-        return np.clip((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
     def cdf(self, t):
-        return np.power(self._z(t), self.k)
+        return np.power(self._unit(t), self.k)
 
     def pdf(self, t):
-        z = self._z(t)
+        z = self._unit(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             # k < 1 genuinely diverges at the lower edge; callers that
             # condition there fall back to a point just inside
@@ -186,44 +201,58 @@ class ValueModel:
         return len(self.dists) == 1
 
     def _check_in_support(self, t, what="point"):
-        arr = np.asarray(t, dtype=float)
         slack = _EDGE_SLACK * self.span
+        if isinstance(t, float):
+            if t < self.lo - slack or t > self.hi + slack:
+                self._support_error(what)
+            return min(max(t, self.lo), self.hi)
+        arr = np.asarray(t, dtype=float)
         if ((arr < self.lo - slack) | (arr > self.hi + slack)).any():
-            raise DomainError(
-                f"{what} outside support [{self.lo:g}, {self.hi:g}]"
-            )
+            self._support_error(what)
         return np.minimum(np.maximum(arr, self.lo), self.hi)
+
+    def _support_error(self, what):
+        raise DomainError(f"{what} outside support [{self.lo:g}, {self.hi:g}]")
 
     def marginal_cdf(self, t):
         t = self._check_in_support(t)
         out = sum(w * d.cdf(t) for w, d in zip(self.weights, self.dists))
         return _float_or_array(out)
 
-    def _weighted_densities(self, v):
-        return np.array([w * d.pdf(v) for w, d in zip(self.weights, self.dists)])
+    def _cdfs(self, t):
+        return [d.cdf(t) for d in self.dists]
+
+    def _pdfs(self, t):
+        return [d.pdf(t) for d in self.dists]
+
+    def _weighted(self, f):
+        return np.array([w * fk for w, fk in zip(self.weights, f)])
 
     def posterior(self, v):
         """Component weights conditional on observing own value(s) v.
 
         Shape (K,) for a scalar v and (K,) + v.shape for an array.
         """
-        return self._posterior(self._check_in_support(v, "conditioning value"))
+        return np.asarray(self._posterior(self._check_in_support(v, "conditioning value")))
 
-    def _posterior(self, v):
+    def _posterior(self, v, f=None):
+        """Posterior at a checked v; ``f`` holds the component densities at
+        v when the caller has them.  An IID model with a float v gives
+        ``(1.0,)``."""
         if self.is_iid:
-            return np.ones((1,) + np.shape(v))
-        raw = self._weighted_densities(v)
+            return (1.0,) if isinstance(v, float) else np.ones((1,) + np.shape(v))
+        raw = self._weighted(self._pdfs(v) if f is None else f)
         total = sum(raw)
         bad = (total <= 0.0) | ~np.isfinite(total)
-        if np.any(bad):
+        if _any(bad):
             # densities can vanish (or blow up) right at a support edge;
             # those entries use the limit from just inside instead
             eps = 1e-9 * self.span
             v_in = np.clip(v, self.lo + eps, self.hi - eps)
-            raw = np.where(bad, self._weighted_densities(v_in), raw)
+            raw = np.where(bad, self._weighted(self._pdfs(v_in)), raw)
             total = sum(raw)
             bad = (total <= 0.0) | ~np.isfinite(total)
-            if np.any(bad):
+            if _any(bad):
                 raise DomainError(
                     f"component densities degenerate at v={_first(v, bad):g}"
                 )
@@ -244,14 +273,17 @@ class ValueModel:
         the posterior-weighted win probability at t = v.  A scalar v gives
         a float, an array v an array of its shape.  Raises
         ``SingularHazard`` if the win probability vanishes at any entry.
+        Each component's cdf and pdf are evaluated once and shared by the
+        posterior and both order-statistic kernels.
         """
         v = self._check_in_support(v, "value")
-        post = self._posterior(v)
-        q = self._kth_tail(post, 1, v)
+        F, f = self._cdfs(v), self._pdfs(v)
+        post = self._posterior(v, f)
+        q = self._kth_tail(post, 1, F)
         low = q < _Q_FLOOR
-        if np.any(low):
+        if _any(low):
             raise SingularHazard(f"win probability vanishes at v={_first(v, low):g}")
-        return _float_or_array(self._kth_density(post, 1, v) / q)
+        return _float_or_array(self._kth_density(post, 1, F, f) / q)
 
     def _check_units(self, units):
         if not (1 <= units <= self.n - 1):
@@ -259,12 +291,12 @@ class ValueModel:
                 f"order statistic index must be in [1, {self.n - 1}], got {units}"
             )
 
-    def _kth_tail(self, post, units, t):
-        """:meth:`kth_win_prob` at thresholds t, given the posterior ``post``."""
+    def _kth_tail(self, post, units, cdfs):
+        """:meth:`kth_win_prob` given the posterior ``post`` and each
+        component's cdf at the thresholds."""
         m = self.n - 1
         out = 0.0
-        for p, d in zip(post, self.dists):
-            F = d.cdf(t)
+        for p, F in zip(post, cdfs):
             tail = sum(
                 math.comb(m, j) * np.power(1.0 - F, j) * np.power(F, m - j)
                 for j in range(units)
@@ -272,15 +304,15 @@ class ValueModel:
             out = out + p * tail
         return out
 
-    def _kth_density(self, post, units, z):
-        """:meth:`kth_rival_density` at z, given the posterior ``post``."""
+    def _kth_density(self, post, units, cdfs, pdfs):
+        """:meth:`kth_rival_density` given the posterior ``post`` and each
+        component's cdf and pdf at the rival value."""
         m = self.n - 1
         coef = units * math.comb(m, units)
         out = 0.0
-        for p, d in zip(post, self.dists):
-            F = d.cdf(z)
+        for p, F, f in zip(post, cdfs, pdfs):
             out = out + (
-                p * coef * np.power(1.0 - F, units - 1) * np.power(F, m - units) * d.pdf(z)
+                p * coef * np.power(1.0 - F, units - 1) * np.power(F, m - units) * f
             )
         return out
 
@@ -293,7 +325,7 @@ class ValueModel:
         self._check_units(units)
         post = self.posterior(v)
         t = self._check_in_support(t, "threshold")
-        return _float_or_array(self._kth_tail(post, units, t))
+        return _float_or_array(self._kth_tail(post, units, self._cdfs(t)))
 
     def kth_rival_density(self, units, v, z):
         """Density of the k-th highest rival value at z, for k = units.
@@ -304,7 +336,7 @@ class ValueModel:
         self._check_units(units)
         post = self.posterior(v)
         z = self._check_in_support(z, "rival value")
-        return _float_or_array(self._kth_density(post, units, z))
+        return _float_or_array(self._kth_density(post, units, self._cdfs(z), self._pdfs(z)))
 
     def sample(self, rng, rounds):
         """Draw ``rounds`` full profiles of n values, shape (rounds, n).

@@ -1,5 +1,6 @@
 """Unit tests for the first-price equilibrium solver."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from riskbid import (
     ConfigError,
     ConstantOutside,
     CRRAUtility,
+    DomainError,
     EquilibriumSolution,
     FPAScenario,
     LinearUtility,
@@ -90,6 +92,20 @@ def test_one_array_hazard_call_per_solve(monkeypatch):
     solve_fpa(scn)
     arrays = [shape for shape in calls if shape != ()]
     assert arrays == [(scn.grid,)]
+
+
+def test_domain_breach_inside_integration_raises():
+    # s(v) = -v leaves CRRA's shifted domain just past v = 0.5, inside the
+    # integration: the right-hand side's float check raises there
+    scn = FPAScenario(
+        values=UNIT3,
+        outside=AffineOutside(0.0, -1.0),
+        utility=CRRAUtility(0.5, shift=0.5),
+        grid=129,
+    )
+    msg = "CRRAUtility: argument + shift = -1.04712e-07 outside domain ([0, inf)"
+    with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+        solve_fpa(scn)
 
 
 # ---------------------------------------------------------------------------

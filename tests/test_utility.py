@@ -150,6 +150,18 @@ def test_vector_and_scalar_agree():
         assert vec[i] == u.value(float(x))
     assert isinstance(u.value(0.3), float)
     assert u.value(xs).shape == xs.shape
+    # every family, plain and composed: a Python float, an np.float64 and
+    # a 0-d array give a float with the bits of the array entry
+    xs = np.array([0.3, 1.25, 4.0])
+    for w in FAMILIES + COMPOSED:
+        for method in ("value", "deriv"):
+            f = getattr(w, method)
+            vec = f(xs)
+            for i, x in enumerate(xs):
+                for arg in (float(x), np.float64(x), np.array(x)):
+                    out = f(arg)
+                    assert type(out) is float, (w, method, arg)
+                    assert np.float64(out).tobytes() == vec[i].tobytes(), (w, method, arg)
 
 
 def test_domain_mask_elementwise():
@@ -171,8 +183,10 @@ def test_domain_mask_elementwise():
         (CRRAUtility(0.5, shift=1.0), np.array([-3.0, 1.0]),
          "CRRAUtility: argument + shift = -2 outside domain ([0, inf)"),
         (LogUtility(), 0.0, "LogUtility: argument + shift = 0 outside domain ((0, inf)"),
+        (CRRAUtility(0.5, shift=1.0), -3.0,
+         "CRRAUtility: argument + shift = -2 outside domain ([0, inf)"),
     ],
-    ids=["closed", "open"],
+    ids=["closed", "open", "closed-float"],
 )
 @pytest.mark.parametrize("method", ["value", "deriv"])
 def test_domain_error_message(u, x, msg, method):

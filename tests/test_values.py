@@ -129,7 +129,8 @@ def test_hazard_singular_at_bottom():
         m.hazard(np.array([0.5, 0.0, 0.7]))
 
 
-@pytest.mark.parametrize("m", [
+#: uniform, power, truncated normal and two mixtures
+MODELS = [
     ValueModel.iid(UniformDist(0.0, 1.0), 3),
     ValueModel.iid(PowerDist(1.5, 0.0, 1.0), 4),
     ValueModel.iid(TruncatedNormalDist(0.4, 0.3, 0.0, 1.0), 2),
@@ -138,7 +139,21 @@ def test_hazard_singular_at_bottom():
         3,
     ),
     UNIT_MIX,
-])
+]
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def scalar_kinds(v):
+    """One point as a Python float, an np.float64 and a 0-d array."""
+    return (float(v), np.float64(v), np.array(float(v)))
+
+
+@pytest.mark.parametrize("m", MODELS)
 def test_array_hazard_and_posterior_match_scalar_calls(m):
     vs = np.linspace(0.01, 1.0, 37)
     np.testing.assert_array_equal(m.hazard(vs), [m.hazard(v) for v in vs])
@@ -147,6 +162,32 @@ def test_array_hazard_and_posterior_match_scalar_calls(m):
     np.testing.assert_array_equal(post.T, [m.posterior(v) for v in vs])
     grid = vs.reshape(37, 1)  # any shape, elementwise
     np.testing.assert_array_equal(m.hazard(grid), m.hazard(vs).reshape(37, 1))
+    # the float branches of the support check, cdf and posterior round
+    # exactly as the array path does
+    haz = m.hazard(vs)
+    for i, v in enumerate(np.append(vs, [m.lo + 1e-9, m.hi, m.hi + 1e-12])):
+        for x in scalar_kinds(v):
+            h = m.hazard(x)
+            assert type(h) is float
+            assert_bits_equal(h, haz[i] if i < len(vs) else m.hazard(np.array([v]))[0])
+            assert_bits_equal(m.posterior(x), m.posterior(np.array([v]))[:, 0])
+    # marginals too, also outside the support where the cdf clips
+    ts = np.array([m.lo - 0.5, m.lo, 0.37, m.hi, m.hi + 0.5])
+    for d in m.dists:
+        for method in (d.cdf, d.pdf):
+            vec = method(ts)
+            for i, t in enumerate(ts):
+                for x in scalar_kinds(t):
+                    assert_bits_equal(method(x), vec[i])
+
+
+@pytest.mark.parametrize("m", MODELS)
+def test_hazard_is_rival_density_over_win_prob(m):
+    vs = np.linspace(0.01, 1.0, 37)
+    for v in (vs, vs.reshape(37, 1), *scalar_kinds(0.43), 1.0):
+        assert_bits_equal(
+            m.hazard(v), m.kth_rival_density(1, v, v) / m.kth_win_prob(1, v, v)
+        )
 
 
 def test_posterior_edge_fallback_per_entry():
