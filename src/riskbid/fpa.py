@@ -156,6 +156,14 @@ class EquilibriumSolution:
     ``residuals`` holds the per-point consistency check (ODE defect for
     first price, indifference residual for second price) and
     ``derivative_check`` its normalized maximum.
+
+    A fresh first-price solve evaluates the integrator's dense output.
+    Any other schedule (second price, or one rebuilt by
+    :meth:`from_grid`) evaluates scipy's not-a-knot ``CubicSpline`` of
+    its grid, bit for bit: the same coefficients, with each point's
+    piece located by index arithmetic on an evenly spaced grid and by
+    ``searchsorted`` on any other.  Fewer than four points interpolate
+    linearly.
     """
 
     grid: np.ndarray
@@ -174,7 +182,7 @@ class EquilibriumSolution:
             return out[0] if out.ndim > np.ndim(t) else out
         if self._spline is None:
             if len(self.grid) >= 4:
-                self._spline = CubicSpline(self.grid, self.bids)
+                self._spline = _IndexedCubic(self.grid, self.bids)
             else:
                 self._spline = lambda t: np.interp(t, self.grid, self.bids)
         return self._spline(t)
@@ -182,8 +190,10 @@ class EquilibriumSolution:
     def bid_at(self, t):
         """Bid of a type reporting t, interpolating between grid points.
 
-        Below the first grid point the bid ramps linearly down to the
-        boundary bid at ``v_floor``; above the last it stays flat.
+        Between the first and last grid points the bid is the solution's
+        interpolant (see the class docstring).  Below the first grid
+        point the bid ramps linearly down to the boundary bid at
+        ``v_floor``; above the last it stays flat.
         """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
@@ -210,23 +220,104 @@ class EquilibriumSolution:
     def from_grid(cls, grid, bids, residuals=None, v_floor=None, boundary_bid=None):
         """Rebuild a solution from tabulated values (e.g. a CSV round trip).
 
-        ``derivative_check`` is the unscaled maximum |residual| over all
-        points, not the solver's scaled maximum over interior points.
+        Raises ``ConfigError``, naming the first offending row (counted
+        from 0), unless the columns have equal lengths, every entry is
+        finite and the grid strictly increases.  ``derivative_check`` is
+        the unscaled maximum |residual| over all points, not the
+        solver's scaled maximum over interior points.
         """
         grid = np.asarray(grid, dtype=float)
         bids = np.asarray(bids, dtype=float)
-        if residuals is None:
-            residuals = np.zeros_like(grid)
+        residuals = np.zeros_like(grid) if residuals is None else np.asarray(residuals, dtype=float)
+        _check_table(grid, bids, residuals)
         diffs = np.diff(bids)
         return cls(
             grid=grid,
             bids=bids,
-            residuals=np.asarray(residuals, dtype=float),
+            residuals=residuals,
             derivative_check=float(np.max(np.abs(residuals))),
             monotone=bool(np.all(diffs > 0)),
             v_floor=float(grid[0]) if v_floor is None else float(v_floor),
             boundary_bid=float(bids[0]) if boundary_bid is None else float(boundary_bid),
         )
+
+
+def _check_table(grid, bids, residuals):
+    """Reject a solution table that no interpolant can be built on."""
+    if not (grid.ndim == 1 and bids.shape == grid.shape == residuals.shape):
+        raise ConfigError(
+            f"solution columns differ in shape: v {grid.shape}, "
+            f"beta {bids.shape}, residual {residuals.shape}"
+        )
+    for name, col in (("v", grid), ("beta", bids), ("residual", residuals)):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise ConfigError(f"solution row {bad[0]}: {name} = {col[bad[0]]} is not finite")
+    bad = np.flatnonzero(np.diff(grid) <= 0)
+    if bad.size:
+        i = bad[0] + 1
+        raise ConfigError(
+            f"solution row {i}: v = {float(grid[i])!r} does not exceed "
+            f"v = {float(grid[i - 1])!r} of row {i - 1}; the grid must strictly increase"
+        )
+
+
+#: points per evaluation block of ``_IndexedCubic``; a block's temporaries
+#: stay in cache
+_BLOCK = 1 << 15
+
+
+class _IndexedCubic:
+    """scipy's ``CubicSpline(grid, bids)``, evaluated without its binary search.
+
+    ``CubicSpline`` fits the not-a-knot coefficients.  A point t in
+    [grid[0], grid[-1]] lies on piece j with grid[j] <= t < grid[j+1],
+    the last piece closed, as scipy locates it.  When every knot lies
+    within h/4 of an even spacing h (any ``linspace``), j is the
+    truncated index (t - grid[0]) / h, which is off by at most one, and
+    one fix-up step each way makes it exact (de Boor, *A Practical Guide
+    to Splines*, ch. VII).  Any other grid takes ``searchsorted``.  The
+    value is summed in scipy's order, c3 + c2*s + c1*s^2 + c0*s^3 with
+    the powers built by repeated products (not Horner's rule), so it
+    equals scipy's bit for bit.  Points must lie in [grid[0], grid[-1]]
+    (``bid_at`` handles the rest); a nan stays nan.
+    """
+
+    def __init__(self, grid, bids):
+        c = CubicSpline(grid, bids).c
+        # scipy starts its sum at 0.0, which turns a -0.0 constant term into 0.0
+        self.c0, self.c1, self.c2, self.c3 = c[0], c[1], c[2], c[3] + 0.0
+        n = len(grid)
+        self.grid = grid
+        self.last = n - 2
+        # upper knot of each piece; inf closes the last one
+        self.upper = np.append(grid[1:-1], np.inf)
+        self.scale = (n - 1) / (grid[-1] - grid[0])
+        even = np.linspace(grid[0], grid[-1], n)
+        self.indexed = bool(np.max(np.abs(grid - even)) * self.scale <= 0.25)
+
+    def _piece(self, t):
+        if not self.indexed:
+            return np.minimum(np.searchsorted(self.grid, t, side="right") - 1, self.last)
+        # t >= grid[0] keeps q >= 0; fmin sends a nan to the last piece
+        j = np.fmin((t - self.grid[0]) * self.scale, self.last).astype(np.intp)
+        j -= t < self.grid[j]
+        j += t >= self.upper[j]
+        return j
+
+    def _block(self, t):
+        j = self._piece(t)
+        s = t - self.grid[j]
+        z = s * s
+        return self.c3[j] + self.c2[j] * s + self.c1[j] * z + self.c0[j] * (z * s)
+
+    def __call__(self, t):
+        if t.size <= _BLOCK:
+            return self._block(t)
+        out = np.empty_like(t)
+        for a in range(0, t.size, _BLOCK):
+            out[a:a + _BLOCK] = self._block(t[a:a + _BLOCK])
+        return out
 
 
 def _interpolant_slope(dense, t, span):

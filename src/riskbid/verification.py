@@ -240,13 +240,16 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
     """Replay the auction on sampled profiles; accumulate revenue stats.
 
     All bidders follow the solved schedule; ties are broken uniformly at
-    random.  Reproducible for a given seed.
+    random.  Reproducible for a given seed and ``chunk_size``, the
+    number of rounds drawn at a time (an integer >= 1).
     """
     fmt = _normalize_format(fmt)
     rounds = int(rounds)
     if rounds < 0:
         raise ConfigError(f"rounds must be nonnegative, got {rounds}")
     seed = int(seed)
+    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+        raise ConfigError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     if rounds == 0:
         return StatsReport(format=fmt, rounds=0, seed=seed)
 

@@ -325,6 +325,41 @@ def test_audit_detects_corruption(tmp_path):
     assert doc["passed"] is False
 
 
+def _swap_v(rows):
+    rows[5][0], rows[6][0] = rows[6][0], rows[5][0]
+
+
+def _repeat_v(rows):
+    rows[6][0] = rows[5][0]
+
+
+def _set(col, text):
+    def edit(rows):
+        rows[7][col] = text
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _swap_v, _repeat_v, _set(0, "nan"), _set(0, "inf"), _set(1, "nan"), _set(1, "-inf"),
+], ids=["swapped-v", "duplicate-v", "nan-v", "inf-v", "nan-beta", "inf-beta"])
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_malformed_solution_rows_exit_3(tmp_path, capsys, edit, command):
+    cfg = write_cfg(tmp_path, FPA_CFG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "solution.csv"
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    edit(rows)
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "config error:" in err and "row " in err
+    assert sorted(os.listdir(out)) == before  # no audit.json / stats.json
+
+
 def test_audit_without_solution_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, FPA_CFG)
     assert main(["audit", "--config", cfg, "--out", str(tmp_path / "empty")]) == 3

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from riskbid import (
     AffineOutside,
@@ -12,21 +13,25 @@ from riskbid import (
     ConfigError,
     ConstantOutside,
     CRRAUtility,
+    DiscreteNoise,
     DomainError,
     EquilibriumSolution,
     FPAScenario,
     LinearUtility,
     NonmonotoneSolution,
+    NoisyWin,
     NonpositiveSurplus,
     OrderingViolation,
     PowerDist,
     SolverWarning,
+    SPAScenario,
     UniformDist,
     ValueModel,
     closed_form_crra_uniform,
     compare_risk_aversion_fpa,
     marginal_tradeoff,
     solve_fpa,
+    solve_spa,
 )
 from riskbid.fpa import _tradeoff_raw, check_monotone
 
@@ -259,6 +264,96 @@ def test_from_grid_round_trip():
     ts = np.linspace(sol.grid[0], 1.0, 200)
     np.testing.assert_allclose(rebuilt.bid_at(ts), sol.bid_at(ts), atol=5e-9)
     assert rebuilt.monotone
+
+
+# ---------------------------------------------------------------------------
+# rebuilt schedules: scipy's CubicSpline is the reference evaluator
+# ---------------------------------------------------------------------------
+
+def _spline_schedules(grid):
+    """A second-price solution and a first-price one rebuilt from its table."""
+    noisy = NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), 0.2)
+    spa = solve_spa(SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0),
+                                win_payoff=noisy, grid=grid))
+    fpa = solve_fpa(FPAScenario(values=UNIT3, utility=CRRAUtility(0.3), grid=grid))
+    rebuilt = EquilibriumSolution.from_grid(
+        fpa.grid, fpa.bids, v_floor=fpa.v_floor, boundary_bid=fpa.boundary_bid
+    )
+    return spa, rebuilt
+
+
+def _knots_and_draws(grid, rng):
+    """Every knot and both its neighbours, the ends, and uniform draws
+    (more than two evaluation blocks' worth)."""
+    near = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)])
+    near = near[(near >= grid[0]) & (near <= grid[-1])]
+    return np.concatenate([near, [grid[0], grid[-1]], rng.uniform(grid[0], grid[-1], 70_000)])
+
+
+def _assert_matches_spline(sol, rng):
+    ref = CubicSpline(sol.grid, sol.bids)
+    t = _knots_and_draws(sol.grid, rng)
+    assert np.array_equal(sol.bid_at(t), ref(t))
+    t2 = t[: 4 * (len(t) // 4)].reshape(-1, 4)
+    assert np.array_equal(sol.bid_at(t2), ref(t2))
+    for x in (float(t[-1]), np.float64(t[-2]), np.array(t[-3])):
+        out = sol.bid_at(x)
+        assert isinstance(out, float) and out == ref(x)
+
+
+@pytest.mark.parametrize("grid", [64, 129, 257, 1025])
+def test_spline_schedule_equals_scipy_bit_for_bit(grid):
+    rng = np.random.default_rng(grid)
+    for sol in _spline_schedules(grid):
+        _assert_matches_spline(sol, rng)
+        assert sol._spline.indexed  # a linspace grid locates pieces by index
+        assert np.isnan(sol.bid_at(np.nan))
+
+
+@pytest.mark.parametrize("uneven", ["jittered", "thinned"])
+def test_spline_schedule_on_uneven_grid(uneven):
+    sol = _spline_schedules(257)[1]
+    grid, bids = sol.grid.copy(), sol.bids
+    h = grid[1] - grid[0]
+    if uneven == "jittered":
+        # knots moved by up to h/5 still locate by index, and need both fix-ups
+        grid[1:-1] += h * np.random.default_rng(2).uniform(-0.2, 0.2, len(grid) - 2)
+    else:
+        keep = np.arange(len(grid)) % 3 != 2  # every third row dropped
+        grid, bids = grid[keep], bids[keep]
+    rebuilt = EquilibriumSolution.from_grid(
+        grid, bids, v_floor=sol.v_floor, boundary_bid=sol.boundary_bid
+    )
+    _assert_matches_spline(rebuilt, np.random.default_rng(3))
+    assert rebuilt._spline.indexed == (uneven == "jittered")  # else searchsorted
+
+
+def test_spline_schedule_tails():
+    for sol in _spline_schedules(129):
+        g0, g1, b0 = sol.grid[0], sol.grid[-1], sol.boundary_bid
+        below = np.array([-1.0, sol.v_floor, 0.5 * (sol.v_floor + g0), np.nextafter(g0, -np.inf)])
+        if g0 > sol.v_floor:
+            frac = np.clip((below - sol.v_floor) / (g0 - sol.v_floor), 0.0, 1.0)
+            ramp = b0 + frac * (sol.bids[0] - b0)
+        else:
+            ramp = np.full_like(below, sol.bids[0])
+        assert np.array_equal(sol.bid_at(below), ramp)
+        above = np.array([np.nextafter(g1, np.inf), g1 + 1.0, np.inf])
+        assert np.array_equal(sol.bid_at(above), np.full(3, sol.bids[-1]))
+
+
+@pytest.mark.parametrize("grid, bids, residuals, match", [
+    ([0.0, 0.5, 1.0], [0.0, 0.2], None, "differ in shape"),
+    ([0.0, 0.5, 1.0], [0.0, 0.2, 0.4], [0.0, 0.0], "differ in shape"),
+    ([0.0, 0.5, np.nan], [0.0, 0.2, 0.4], None, "row 2: v = nan"),
+    ([0.0, 0.5, 1.0], [0.0, np.inf, 0.4], None, "row 1: beta = inf"),
+    ([0.0, 0.5, 1.0], [0.0, 0.2, 0.4], [0.0, -np.inf, 0.0], "row 1: residual = -inf"),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.3, 0.4], None, "row 2: v = 0.5 does not exceed"),
+    ([0.0, 0.6, 0.5, 1.0], [0.0, 0.2, 0.3, 0.4], None, "row 2: v = 0.5 does not exceed"),
+])
+def test_from_grid_rejects_malformed_tables(grid, bids, residuals, match):
+    with pytest.raises(ConfigError, match=match):
+        EquilibriumSolution.from_grid(grid, bids, residuals)
 
 
 # ---------------------------------------------------------------------------

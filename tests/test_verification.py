@@ -9,6 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from riskbid import (
     CARAUtility,
+    ConfigError,
     CRRAUtility,
     DiscreteNoise,
     EquilibriumSolution,
@@ -338,6 +339,13 @@ def test_mc_chunking_consistency(fpa_pair):
     assert a.mean_revenue == a2.mean_revenue
     b = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4, chunk_size=30_000)
     assert abs(a.mean_revenue - b.mean_revenue) < 3 * (a.se_revenue + b.se_revenue)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5, 2.5, "1000"])
+def test_mc_rejects_bad_chunk_size(fpa_pair, chunk_size):
+    scn, sol = fpa_pair
+    with pytest.raises(ConfigError, match="chunk_size"):
+        monte_carlo_auction("fpa", scn, sol, 1_000, chunk_size=chunk_size)
 
 
 def test_mc_standard_error_is_shift_invariant():
