@@ -196,25 +196,25 @@ class EquilibriumSolution:
         ``v_floor``; above the last it stays flat.
         """
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
+        x = t.ravel()
+        if not x.size:
+            return np.empty_like(t)
         g0, g1 = self.grid[0], self.grid[-1]
-        below = t < g0
-        above = t > g1
-        mid = ~(below | above)
-        if np.any(mid):
-            out[mid] = self._core_bid(t[mid])
-        if np.any(below):
+        # the interpolant acts pointwise, so clipping leaves in-range points
+        # as they are; the points clipped are overwritten below
+        out = self._core_bid(np.minimum(np.maximum(x, g0), g1))
+        below = x < g0
+        if below.any():
             if g0 > self.v_floor:
-                frac = (t[below] - self.v_floor) / (g0 - self.v_floor)
-                frac = np.clip(frac, 0.0, 1.0)
+                # x < g0 keeps frac <= 1 after rounding too
+                frac = np.maximum((x[below] - self.v_floor) / (g0 - self.v_floor), 0.0)
                 out[below] = self.boundary_bid + frac * (self.bids[0] - self.boundary_bid)
             else:
                 out[below] = self.bids[0]
-        if np.any(above):
+        above = x > g1
+        if above.any():
             out[above] = self.bids[-1]
-        return float(out[0]) if scalar else out
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     @classmethod
     def from_grid(cls, grid, bids, residuals=None, v_floor=None, boundary_bid=None):
@@ -276,7 +276,9 @@ class _IndexedCubic:
     within h/4 of an even spacing h (any ``linspace``), j is the
     truncated index (t - grid[0]) / h, which is off by at most one, and
     one fix-up step each way makes it exact (de Boor, *A Practical Guide
-    to Splines*, ch. VII).  Any other grid takes ``searchsorted``.  The
+    to Splines*, ch. VII).  Any other grid takes ``searchsorted``, which
+    on unsorted points is no faster than scipy's own search, so the
+    index route is where the saving comes from.  The
     value is summed in scipy's order, c3 + c2*s + c1*s^2 + c0*s^3 with
     the powers built by repeated products (not Horner's rule), so it
     equals scipy's bit for bit.  Points must lie in [grid[0], grid[-1]]

@@ -248,7 +248,9 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
     if rounds < 0:
         raise ConfigError(f"rounds must be nonnegative, got {rounds}")
     seed = int(seed)
-    if not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+    # bool is an int subclass, but True would run one round per chunk
+    integral = isinstance(chunk_size, (int, np.integer)) and not isinstance(chunk_size, bool)
+    if not integral or chunk_size < 1:
         raise ConfigError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     if rounds == 0:
         return StatsReport(format=fmt, rounds=0, seed=seed)

@@ -240,6 +240,18 @@ def test_bid_extrapolation_rules():
     assert lo <= sol.bid_at(mid) <= hi
     arr = sol.bid_at(np.array([[0.3, 0.6], [0.9, 0.2]]))
     assert arr.shape == (2, 2)
+    rebuilt = EquilibriumSolution.from_grid(
+        sol.grid, sol.bids, v_floor=sol.v_floor, boundary_bid=sol.boundary_bid
+    )
+    # mixed in-range and out-of-range points keep their places, and a
+    # transposed (non-contiguous) input matches element for element
+    t = np.array([[-1.0, 0.3, 2.0], [0.6, 0.5 * sol.grid[0], 1.0]])
+    for s in (sol, rebuilt):
+        out = s.bid_at(t)
+        assert np.array_equal(out, [[s.bid_at(x) for x in row] for row in t])
+        assert np.array_equal(s.bid_at(t.T), out.T)
+        for empty in (np.array([]), np.zeros((0, 3))):
+            assert s.bid_at(empty).shape == empty.shape
 
 
 def test_check_monotone_rules():

@@ -341,7 +341,7 @@ def test_mc_chunking_consistency(fpa_pair):
     assert abs(a.mean_revenue - b.mean_revenue) < 3 * (a.se_revenue + b.se_revenue)
 
 
-@pytest.mark.parametrize("chunk_size", [0, -5, 2.5, "1000"])
+@pytest.mark.parametrize("chunk_size", [0, -5, 2.5, "1000", True])
 def test_mc_rejects_bad_chunk_size(fpa_pair, chunk_size):
     scn, sol = fpa_pair
     with pytest.raises(ConfigError, match="chunk_size"):
