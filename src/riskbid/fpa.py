@@ -157,13 +157,11 @@ class EquilibriumSolution:
     first price, indifference residual for second price) and
     ``derivative_check`` its normalized maximum.
 
-    A fresh first-price solve evaluates the integrator's dense output.
-    Any other schedule (second price, or one rebuilt by
-    :meth:`from_grid`) evaluates scipy's not-a-knot ``CubicSpline`` of
-    its grid, bit for bit: the same coefficients, with each point's
-    piece located by index arithmetic on an evenly spaced grid and by
-    ``searchsorted`` on any other.  Fewer than four points interpolate
-    linearly.
+    Every schedule, fresh or rebuilt by :meth:`from_grid`, evaluates
+    scipy's not-a-knot ``CubicSpline`` of its grid (fitted on first use;
+    two points give a line, three a parabola), bit for bit: the same
+    coefficients, with each point's piece located by index arithmetic on
+    an evenly spaced grid and by ``searchsorted`` on any other.
     """
 
     grid: np.ndarray
@@ -173,36 +171,27 @@ class EquilibriumSolution:
     monotone: bool
     v_floor: float
     boundary_bid: float
-    _dense: object = field(default=None, repr=False, compare=False)
-    _spline: object = field(default=None, repr=False, compare=False)
 
-    def _core_bid(self, t):
-        if self._dense is not None:
-            out = self._dense(t)
-            return out[0] if out.ndim > np.ndim(t) else out
-        if self._spline is None:
-            if len(self.grid) >= 4:
-                self._spline = _IndexedCubic(self.grid, self.bids)
-            else:
-                self._spline = lambda t: np.interp(t, self.grid, self.bids)
-        return self._spline(t)
+    @functools.cached_property
+    def _spline(self):
+        return _IndexedCubic(self.grid, self.bids)
 
     def bid_at(self, t):
         """Bid of a type reporting t, interpolating between grid points.
 
         Between the first and last grid points the bid is the solution's
-        interpolant (see the class docstring).  Below the first grid
-        point the bid ramps linearly down to the boundary bid at
-        ``v_floor``; above the last it stays flat.
+        spline (see the class docstring).  Below the first grid point the
+        bid ramps linearly down to the boundary bid at ``v_floor``; above
+        the last it stays flat.
         """
         t = np.asarray(t, dtype=float)
         x = t.ravel()
         if not x.size:
             return np.empty_like(t)
         g0, g1 = self.grid[0], self.grid[-1]
-        # the interpolant acts pointwise, so clipping leaves in-range points
+        # the spline acts pointwise, so clipping leaves in-range points
         # as they are; the points clipped are overwritten below
-        out = self._core_bid(np.minimum(np.maximum(x, g0), g1))
+        out = self._spline(np.minimum(np.maximum(x, g0), g1))
         below = x < g0
         if below.any():
             if g0 > self.v_floor:
@@ -221,10 +210,10 @@ class EquilibriumSolution:
         """Rebuild a solution from tabulated values (e.g. a CSV round trip).
 
         Raises ``ConfigError``, naming the first offending row (counted
-        from 0), unless the columns have equal lengths, every entry is
-        finite and the grid strictly increases.  ``derivative_check`` is
-        the unscaled maximum |residual| over all points, not the
-        solver's scaled maximum over interior points.
+        from 0), unless the columns have equal lengths of at least two
+        rows, every entry is finite and the grid strictly increases.
+        ``derivative_check`` is the unscaled maximum |residual| over all
+        points, not the solver's scaled maximum over interior points.
         """
         grid = np.asarray(grid, dtype=float)
         bids = np.asarray(bids, dtype=float)
@@ -249,6 +238,8 @@ def _check_table(grid, bids, residuals):
             f"solution columns differ in shape: v {grid.shape}, "
             f"beta {bids.shape}, residual {residuals.shape}"
         )
+    if len(grid) < 2:
+        raise ConfigError(f"a solution table needs at least 2 rows, got {len(grid)}")
     for name, col in (("v", grid), ("beta", bids), ("residual", residuals)):
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
@@ -460,7 +451,6 @@ def solve_fpa(scenario):
         monotone=monotone,
         v_floor=lo,
         boundary_bid=b0,
-        _dense=sol.sol,
     )
 
 

@@ -236,22 +236,26 @@ def _merge_moments(acc, x):
     return n_a + n_b, sum_a + sum_b, m2_a + m2_b
 
 
+def _count(name, x, least):
+    """x as a Python int; ``ConfigError`` unless it is an integer >= least."""
+    # bool is an int subclass, but True would run one round (per chunk)
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {x!r}")
+    return int(x)
+
+
 def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_000):
     """Replay the auction on sampled profiles; accumulate revenue stats.
 
     All bidders follow the solved schedule; ties are broken uniformly at
     random.  Reproducible for a given seed and ``chunk_size``, the
-    number of rounds drawn at a time (an integer >= 1).
+    number of rounds drawn at a time.  ``rounds`` and ``seed`` must be
+    integers >= 0 and ``chunk_size`` one >= 1, else ``ConfigError``.
     """
     fmt = _normalize_format(fmt)
-    rounds = int(rounds)
-    if rounds < 0:
-        raise ConfigError(f"rounds must be nonnegative, got {rounds}")
-    seed = int(seed)
-    # bool is an int subclass, but True would run one round per chunk
-    integral = isinstance(chunk_size, (int, np.integer)) and not isinstance(chunk_size, bool)
-    if not integral or chunk_size < 1:
-        raise ConfigError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+    rounds = _count("rounds", rounds, 0)
+    seed = _count("seed", seed, 0)
+    chunk_size = _count("chunk_size", chunk_size, 1)
     if rounds == 0:
         return StatsReport(format=fmt, rounds=0, seed=seed)
 

@@ -413,6 +413,18 @@ def test_simulate_zero_rounds(tmp_path):
     assert doc["rounds"] == 0
 
 
+def test_simulate_negative_seed_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FPA_CFG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--rounds", "100",
+                 "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed must be an integer >= 0, got -1")
+    assert not (out / "stats.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

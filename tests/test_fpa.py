@@ -1,10 +1,12 @@
 """Unit tests for the first-price equilibrium solver."""
 
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from riskbid import (
@@ -54,9 +56,10 @@ def _reference_slope(dense, t, span):
     return float((dense(c + h)[0] - dense(c - h)[0]) / (2.0 * h))
 
 
-def reference_residuals(scenario, sol):
-    """(bids, residuals, derivative_check) for a solved scenario, with one
-    scalar dense-output, hazard, tradeoff and slope call per grid point."""
+def reference_residuals(scenario, dense):
+    """(bids, residuals, derivative_check) for a scenario whose integration
+    returned the dense output ``dense``, with one scalar dense-output,
+    hazard, tradeoff and slope call per grid point."""
     u = scenario.effective_utility()
     vm = scenario.values
     grid = scenario.report_grid()
@@ -65,20 +68,29 @@ def reference_residuals(scenario, sol):
     residuals = np.empty_like(grid)
     scaled = np.empty_like(grid)
     for i, v in enumerate(grid):
-        bids[i] = sol._dense(v)[0]
+        bids[i] = dense(v)[0]
         field_val = vm.hazard(v) * _tradeoff_raw(u, v - bids[i], float(s_grid[i]))
-        slope = _reference_slope(sol._dense, v, vm.span)
+        slope = _reference_slope(dense, v, vm.span)
         residuals[i] = abs(slope - field_val)
         scaled[i] = residuals[i] / (1.0 + abs(field_val))
     return bids, residuals, float(np.max(scaled[1:-1]))
 
 
 @pytest.mark.parametrize("grid", [129, 1025])
-def test_residual_check_matches_scalar_reference(grid):
+def test_residual_check_matches_scalar_reference(grid, monkeypatch):
+    # the solution keeps no integrator output, so catch the one solve_ivp makes
+    dense = []
+
+    def spy(*args, **kwargs):
+        out = solve_ivp(*args, **kwargs)
+        dense.append(out.sol)
+        return out
+
+    monkeypatch.setattr("riskbid.fpa.solve_ivp", spy)
     for _, scn in fpa_matrix():
         for case in (replace(scn, transform=None, grid=grid), replace(scn, grid=grid)):
             sol = solve_fpa(case)
-            bids, residuals, check = reference_residuals(case, sol)
+            bids, residuals, check = reference_residuals(case, dense.pop())
             np.testing.assert_array_equal(sol.bids, bids)
             np.testing.assert_array_equal(sol.residuals, residuals)
             assert sol.derivative_check == check
@@ -273,17 +285,61 @@ def test_from_grid_round_trip():
     rebuilt = EquilibriumSolution.from_grid(
         sol.grid, sol.bids, v_floor=sol.v_floor, boundary_bid=sol.boundary_bid
     )
-    ts = np.linspace(sol.grid[0], 1.0, 200)
-    np.testing.assert_allclose(rebuilt.bid_at(ts), sol.bid_at(ts), atol=5e-9)
+    # a fresh solve and its rebuilt table are one spline, tails included
+    ts = np.concatenate([np.linspace(-0.1, 1.1, 241), sol.grid])
+    assert np.array_equal(rebuilt.bid_at(ts), sol.bid_at(ts))
     assert rebuilt.monotone
 
 
 # ---------------------------------------------------------------------------
-# rebuilt schedules: scipy's CubicSpline is the reference evaluator
+# accuracy of the evaluated schedule against an independent oracle
+# ---------------------------------------------------------------------------
+
+def _milgrom_weber_bid(v, n, weight, rho):
+    """First-price bid at v for n bidders whose values are U[0, 1] with
+    probability ``weight`` and power(3) on [0, 1] otherwise (one draw of
+    the component for all bidders), with CRRA(rho) utility and no outside
+    option.
+
+    Milgrom & Weber (1982, Thm 14): beta(v) = v - int_0^v L(a | v) da,
+    L(a | v) = exp(-int_a^v lambda(s) / (1 - rho) ds), where lambda is the
+    hazard of the highest rival value at the own value, here built from
+    the component formulas.  CRRA scales the hazard by 1 / (1 - rho)
+    because its tradeoff u(x) / u'(x) is x / (1 - rho).
+    """
+    def hazard(s):
+        comps = ((weight, 1.0, s), (1.0 - weight, 3.0 * s * s, s ** 3))  # (w, f, F)
+        num = sum(w * f * (n - 1) * F ** (n - 2) * f for w, f, F in comps)
+        return num / sum(w * f * F ** (n - 1) for w, f, F in comps)
+
+    def stay(a):
+        inner = quad(hazard, a, v, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return math.exp(-inner / (1.0 - rho))
+
+    return v - quad(stay, 0.0, v, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("utility, rho", [(LinearUtility(), 0.0), (CRRAUtility(0.5), 0.5)],
+                         ids=["linear", "crra"])
+def test_bid_at_matches_milgrom_weber_oracle(utility, rho):
+    weight = 0.5
+    values = ValueModel.mixture([(weight, UniformDist(0.0, 1.0)),
+                                 (1.0 - weight, PowerDist(3.0, 0.0, 1.0))], 3)
+    sol = solve_fpa(FPAScenario(values=values, utility=utility, grid=257))
+    cells = np.linspace(0, len(sol.grid) - 2, 16).astype(int)  # bottom to top
+    mids = 0.5 * (sol.grid[cells] + sol.grid[cells + 1])
+    t = np.concatenate([mids, sol.grid[cells], sol.grid[cells + 1]])
+    oracle = np.array([_milgrom_weber_bid(x, 3, weight, rho) for x in t])
+    assert np.max(np.abs(sol.bid_at(t) - oracle)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# every schedule: scipy's CubicSpline is the reference evaluator
 # ---------------------------------------------------------------------------
 
 def _spline_schedules(grid):
-    """A second-price solution and a first-price one rebuilt from its table."""
+    """A second-price solution, a fresh first-price one and the first-price
+    one rebuilt from its table."""
     noisy = NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), 0.2)
     spa = solve_spa(SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0),
                                 win_payoff=noisy, grid=grid))
@@ -291,7 +347,7 @@ def _spline_schedules(grid):
     rebuilt = EquilibriumSolution.from_grid(
         fpa.grid, fpa.bids, v_floor=fpa.v_floor, boundary_bid=fpa.boundary_bid
     )
-    return spa, rebuilt
+    return spa, fpa, rebuilt
 
 
 def _knots_and_draws(grid, rng):
@@ -324,7 +380,7 @@ def test_spline_schedule_equals_scipy_bit_for_bit(grid):
 
 @pytest.mark.parametrize("uneven", ["jittered", "thinned"])
 def test_spline_schedule_on_uneven_grid(uneven):
-    sol = _spline_schedules(257)[1]
+    sol = _spline_schedules(257)[2]
     grid, bids = sol.grid.copy(), sol.bids
     h = grid[1] - grid[0]
     if uneven == "jittered":
@@ -354,6 +410,26 @@ def test_spline_schedule_tails():
         assert np.array_equal(sol.bid_at(above), np.full(3, sol.bids[-1]))
 
 
+def test_two_row_table_is_linear():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        grid, bids = np.sort(rng.uniform(-2.0, 3.0, 2)), rng.uniform(-1.0, 2.0, 2)
+        sol = EquilibriumSolution.from_grid(grid, bids)
+        t = np.concatenate([grid[:1], rng.uniform(*grid, 5_000), np.nextafter(grid[1:], -np.inf)])
+        assert np.array_equal(sol.bid_at(t), np.interp(t, grid, bids))
+        # the top knot itself is scipy's, which may round one ulp off bids[1]
+        top = sol.bid_at(grid[1])
+        assert top == CubicSpline(grid, bids)(grid[1])
+        assert abs(top - bids[1]) <= 4 * np.spacing(np.max(np.abs(bids)))
+
+
+def test_three_row_table_is_scipys_parabola():
+    sol = EquilibriumSolution.from_grid([0.0, 0.5, 1.0], [0.0, 0.3, 0.4])
+    _assert_matches_spline(sol, np.random.default_rng(6))
+    # the parabola 0.8 v - 0.4 v^2 through all three rows, not two segments
+    assert sol.bid_at(0.25) == pytest.approx(0.175, rel=1e-14)
+
+
 @pytest.mark.parametrize("grid, bids, residuals, match", [
     ([0.0, 0.5, 1.0], [0.0, 0.2], None, "differ in shape"),
     ([0.0, 0.5, 1.0], [0.0, 0.2, 0.4], [0.0, 0.0], "differ in shape"),
@@ -362,6 +438,8 @@ def test_spline_schedule_tails():
     ([0.0, 0.5, 1.0], [0.0, 0.2, 0.4], [0.0, -np.inf, 0.0], "row 1: residual = -inf"),
     ([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.3, 0.4], None, "row 2: v = 0.5 does not exceed"),
     ([0.0, 0.6, 0.5, 1.0], [0.0, 0.2, 0.3, 0.4], None, "row 2: v = 0.5 does not exceed"),
+    ([0.5], [0.2], None, "at least 2 rows, got 1"),
+    ([], [], None, "at least 2 rows, got 0"),
 ])
 def test_from_grid_rejects_malformed_tables(grid, bids, residuals, match):
     with pytest.raises(ConfigError, match=match):

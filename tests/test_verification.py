@@ -348,6 +348,28 @@ def test_mc_rejects_bad_chunk_size(fpa_pair, chunk_size):
         monte_carlo_auction("fpa", scn, sol, 1_000, chunk_size=chunk_size)
 
 
+@pytest.mark.parametrize("bad", [
+    {"rounds": 2.7}, {"rounds": float("nan")}, {"rounds": "abc"}, {"rounds": -1},
+    {"rounds": True}, {"seed": 2.5}, {"seed": True}, {"seed": -1}, {"seed": "0"},
+    {"seed": None},
+], ids=repr)
+def test_mc_rejects_bad_rounds_and_seed(fpa_pair, bad):
+    scn, sol = fpa_pair
+    (name, _), = bad.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 0, got "):
+        monte_carlo_auction("fpa", scn, sol, **{"rounds": 1_000, "seed": 0, **bad})
+
+
+def test_mc_accepts_numpy_integers(fpa_pair):
+    scn, sol = fpa_pair
+    a = monte_carlo_auction("fpa", scn, sol, np.int64(2_000), seed=np.uint8(3),
+                            chunk_size=np.int32(700))
+    b = monte_carlo_auction("fpa", scn, sol, 2_000, seed=3, chunk_size=700)
+    assert a == b
+    assert type(a.rounds) is int and type(a.seed) is int
+    json.dumps(a.to_json())
+
+
 def test_mc_standard_error_is_shift_invariant():
     # shifting every value by 1e8 shifts revenue but not its spread; a
     # sum-of-squares variance cancels to 0.0 at this offset
