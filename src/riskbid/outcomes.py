@@ -4,23 +4,18 @@ The outside option s(v) is what a bidder of type v consumes when she
 does not get the good.  The win payoff W describes what getting the
 good is worth: either exactly the type v, or v plus scaled noise that
 resolves after the auction.  Noise laws expose a fixed quadrature
-representation (exact atoms for discrete laws, Gauss-Legendre nodes for
-continuous ones) so expectations reduce to dot products.
+representation, so expectations reduce to dot products.  A discrete law
+is its own atoms.  A continuous law is a value marginal (``values``)
+plus fixed quadrature: the marginal's density on 64 Gauss-Legendre
+nodes of its support, renormalized, with inverse-cdf draws.
 """
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError
+from .values import TruncatedNormalDist, UniformDist
 
 _GL_ORDER = 64
-
-
-def _gl_nodes(lo, hi):
-    """Gauss-Legendre nodes and weights rescaled from [-1,1] to [lo,hi]."""
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
 
 
 # ---------------------------------------------------------------------------
@@ -148,70 +143,45 @@ class DiscreteNoise(NoiseDist):
         return f"DiscreteNoise({list(self.points)}, {list(self.probs)})"
 
 
-class UniformNoise(NoiseDist):
-    def __init__(self, lo, hi):
-        lo, hi = float(lo), float(hi)
-        if not lo < hi:
-            raise ConfigError(f"uniform noise needs lo < hi, got [{lo}, {hi}]")
-        self.support = (lo, hi)
-        pts, wts = _gl_nodes(lo, hi)
-        self._pts = pts
-        self._wts = wts / (hi - lo)  # density 1/(hi-lo); weights sum to 1
+class _LawNoise(NoiseDist):
+    """Noise drawn from a value marginal: the law's density on 64
+    Gauss-Legendre nodes of its support, and inverse-cdf draws."""
+
+    def __init__(self, law):
+        self.law = law
+        self.support = (law.lo, law.hi)
+        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+        mid, half = 0.5 * (law.hi + law.lo), 0.5 * (law.hi - law.lo)
+        self._pts = mid + half * x
+        pdf = law.pdf(self._pts)
+        self._wts = w * pdf / np.dot(w, pdf)  # remove the residual quadrature bias
 
     def atoms(self):
         return self._pts, self._wts
 
     def sample(self, rng, size):
-        lo, hi = self.support
-        return lo + (hi - lo) * rng.random(size)
+        return self.law.ppf(rng.random(size))
 
     def to_config(self):
-        return {"kind": "uniform", "lo": self.support[0], "hi": self.support[1]}
+        cfg = self.law.to_config()
+        return {"kind": cfg.pop("family"), **cfg, "lo": self.support[0], "hi": self.support[1]}
 
     def __repr__(self):
-        return f"UniformNoise({self.support[0]}, {self.support[1]})"
+        law = repr(self.law)
+        return type(self).__name__ + law[law.index("("):]
 
 
-class TruncatedNormalNoise(NoiseDist):
-    """Normal(mu, sigma) truncated to [lo, hi], integrated on fixed nodes."""
+class UniformNoise(_LawNoise):
+    def __init__(self, lo, hi):
+        super().__init__(UniformDist(lo, hi))
+
+
+class TruncatedNormalNoise(_LawNoise):
+    """Normal(mu, sigma) truncated to [lo, hi]."""
 
     def __init__(self, mu, sigma, lo, hi):
-        lo, hi = float(lo), float(hi)
-        sigma = float(sigma)
-        if not lo < hi:
-            raise ConfigError(f"truncation needs lo < hi, got [{lo}, {hi}]")
-        if sigma <= 0:
-            raise ConfigError(f"sigma must be > 0, got {sigma}")
-        self.mu = float(mu)
-        self.sigma = sigma
-        self.support = (lo, hi)
-        a, b = (lo - self.mu) / sigma, (hi - self.mu) / sigma
-        self._frozen = stats.truncnorm(a, b, loc=self.mu, scale=sigma)
-        pts, raw = _gl_nodes(lo, hi)
-        wts = raw * self._frozen.pdf(pts)
-        self._pts = pts
-        self._wts = wts / wts.sum()  # remove the residual quadrature bias
-
-    def atoms(self):
-        return self._pts, self._wts
-
-    def sample(self, rng, size):
-        return self._frozen.ppf(rng.random(size))
-
-    def to_config(self):
-        return {
-            "kind": "truncated_normal",
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "lo": self.support[0],
-            "hi": self.support[1],
-        }
-
-    def __repr__(self):
-        return (
-            f"TruncatedNormalNoise(mu={self.mu}, sigma={self.sigma}, "
-            f"lo={self.support[0]}, hi={self.support[1]})"
-        )
+        super().__init__(TruncatedNormalDist(mu, sigma, lo, hi))
+        self.mu, self.sigma = self.law.mu, self.law.sigma
 
 
 # ---------------------------------------------------------------------------

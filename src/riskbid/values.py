@@ -5,7 +5,9 @@ draws from a single marginal, or an exchangeable mixture: first a latent
 component is drawn, then all n values are drawn IID from that
 component's marginal.  Conditioning one bidder's value updates the
 component posterior, which is what makes mixture win probabilities
-value-dependent.
+value-dependent.  The marginals are the package's only continuous laws:
+a continuous win-noise law (``outcomes``) is a marginal plus fixed
+quadrature.
 
 Every evaluator takes a scalar or an array.  A Python float (or
 np.float64) goes through float branches of the support check, the
@@ -17,7 +19,7 @@ side of the first-price solver calls ``hazard`` this way.
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigError, DomainError, SingularHazard
 
@@ -121,6 +123,13 @@ class PowerDist(MarginalDist):
 
 
 class TruncatedNormalDist(MarginalDist):
+    """Normal(mu, sigma) conditioned on [lo, hi].
+
+    Written in the log of the normal tail nearer the support (mirrored
+    when the support lies above the mean), so that a support far out in
+    one tail keeps its digits instead of cancelling to 0/0.
+    """
+
     def __init__(self, mu, sigma, lo, hi):
         super().__init__(lo, hi)
         sigma = float(sigma)
@@ -128,18 +137,45 @@ class TruncatedNormalDist(MarginalDist):
             raise ConfigError(f"sigma must be > 0, got {sigma}")
         self.mu = float(mu)
         self.sigma = sigma
-        a = (self.lo - self.mu) / sigma
-        b = (self.hi - self.mu) / sigma
-        self._frozen = stats.truncnorm(a, b, loc=self.mu, scale=sigma)
+        a, b = (self.lo - self.mu) / sigma, (self.hi - self.mu) / sigma
+        self._s = -1.0 if a > 0 else 1.0
+        self._la, self._lb = special.log_ndtr(self._s * a), special.log_ndtr(self._s * b)
+        # log Phi(s z) runs from _la to _lb; the mass is e^_lm * |_den|
+        self._lm = max(self._la, self._lb)
+        with np.errstate(invalid="ignore"):
+            self._den = np.expm1(self._lb - self._lm) - np.expm1(self._la - self._lm)
+        if not (abs(self._den) > 0 and math.isfinite(self._la + self._lb)):
+            raise ConfigError(
+                f"truncated normal ({self.mu:g}, {sigma:g}) on [{self.lo:g}, {self.hi:g}] "
+                "is degenerate in double precision"
+            )
+        self._log_norm = self._lm + math.log(abs(self._den)) + math.log(sigma * math.sqrt(2 * math.pi))
+
+    def _z(self, t):
+        return (np.clip(t, self.lo, self.hi) - self.mu) / self.sigma
 
     def cdf(self, t):
-        return self._frozen.cdf(np.asarray(t, dtype=float))
+        lz = special.log_ndtr(self._s * self._z(t))
+        m = np.maximum(lz, self._la)
+        return np.exp(m - self._lm) * (np.expm1(lz - m) - np.expm1(self._la - m)) / self._den
 
     def pdf(self, t):
-        return self._frozen.pdf(np.asarray(t, dtype=float))
+        z = self._z(t)
+        return np.exp(-0.5 * z * z - self._log_norm)
 
     def ppf(self, q):
-        return self._frozen.ppf(np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        with np.errstate(divide="ignore"):  # log(0) = -inf at q = 0 and q = 1
+            lz = np.logaddexp(np.log1p(-q) + self._la, np.log(q) + self._lb)
+        x = special.ndtri_exp(lz)
+        far = x < -40.0
+        if np.any(far):
+            # ndtri_exp keeps about 12 digits beyond 60 sigma; one Newton
+            # step on log_ndtr restores them
+            xf = np.minimum(x, -40.0)
+            mills = math.sqrt(math.pi / 2) * special.erfcx(-xf / math.sqrt(2))  # Phi/phi
+            x = np.where(far, xf - (special.log_ndtr(xf) - lz) * mills, x)
+        return np.clip(self.mu + self.sigma * self._s * x, self.lo, self.hi)
 
     def to_config(self):
         return {"family": "truncated_normal", "mu": self.mu, "sigma": self.sigma}

@@ -280,31 +280,19 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
         perm = rng.permutation(n)
         order_p = np.argsort(-bids[:, perm], axis=1, kind="stable")
         order = perm[order_p]
-        rows = np.arange(m)[:, None]
         ranked_bids = np.take_along_axis(bids, order, axis=1)
 
         winners = order[:, :units]
         win_vals = np.take_along_axis(vals, winners, axis=1)
-        if fmt == "fpa":
-            price = ranked_bids[:, 0]
-            win_surplus = win_vals[:, 0] - price
-            revenue = price
-        elif fmt == "spa":
-            price = ranked_bids[:, 1]
-            w = win_payoff.sample(rng, win_vals[:, 0])
-            win_surplus = w - price
-            revenue = price
-        else:
-            price = ranked_bids[:, units]
-            w = win_payoff.sample(rng, win_vals)
-            win_surplus = w - price[:, None]
-            revenue = units * price
+        # first price: the winner pays its own bid; otherwise the winners
+        # pay the highest losing bid
+        col = 0 if fmt == "fpa" else units
+        price = ranked_bids[:, col:col + 1]
+        w = win_vals if win_payoff is None else win_payoff.sample(rng, win_vals)
+        revenue = units * price[:, 0]
 
         util = np.broadcast_to(u.value(scenario.outside.value(vals)), vals.shape).copy()
-        if fmt == "uniform":
-            np.put_along_axis(util, winners, np.asarray(u.value(win_surplus)), axis=1)
-        else:
-            util[rows[:, 0], winners[:, 0]] = np.asarray(u.value(win_surplus))
+        np.put_along_axis(util, winners, np.asarray(u.value(w - price)), axis=1)
         round_util = util.mean(axis=1)
 
         np.add.at(seat_wins, winners.ravel(), 1.0)

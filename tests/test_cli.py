@@ -139,13 +139,27 @@ def _replaced(doc, path, val):
     return doc
 
 
+#: truncated-normal values (FPA) and win noise (SPA), a family the
+#: files under configs/ do not use
+TNORM_DOCS = (
+    dict(FPA_CFG, values=dict(UNIFORM3, dist={"family": "truncated_normal", "mu": 0.4, "sigma": 0.3})),
+    dict(SPA_CFG, win_payoff={
+        "form": "additive_noise",
+        "scale": 0.2,
+        "noise": {"kind": "truncated_normal", "mu": 0.0, "sigma": 1.0, "lo": -3.0, "hi": 3.0},
+    }),
+)
+
+
 def _malformed_configs():
-    """Each numeric leaf of the scenario configs (bare and canonical) made
-    a non-number or a non-finite number, plus misshapen lists and
-    non-string tags."""
+    """Each numeric leaf of the scenario configs and of ``TNORM_DOCS``
+    (bare and canonical) made a non-number or a non-finite number, plus
+    misshapen lists and non-string tags."""
+    raws = list(TNORM_DOCS)
     for name in ("fpa_crra", "spa_noisy_cara", "uniform_two_units"):
         with open(os.path.join(CONFIG_DIR, name + ".json")) as fh:
-            raw = json.load(fh)
+            raws.append(json.load(fh))
+    for raw in raws:
         for doc in (raw, build_scenario(raw)[2]):
             for path in _numeric_leaves(doc):
                 for bad in ("x", None, [1], True, float("nan"), float("inf")):
@@ -442,6 +456,16 @@ def test_console_script(tmp_path):
     proc2 = subprocess.run([exe, "safety", "--config", cfg],
                            capture_output=True, text=True)
     assert proc2.returncode == 3  # a scenario config is not a problem file
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is the heaviest module riskbid could pull in; the
+    # library's laws are written on scipy.special instead
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, riskbid; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr or "import riskbid loaded scipy.stats"
 
 
 def test_module_entry_point(tmp_path):

@@ -21,6 +21,7 @@ from riskbid import (
     SPAScenario,
     TruncatedNormalNoise,
     UniformDist,
+    UniformNoise,
     ValueModel,
     compare_risk_aversion_spa,
     pivotal_expectation,
@@ -146,6 +147,30 @@ def test_default_bracket_covers_noise():
     scn = SPAScenario(values=UNIT3, win_payoff=NoisyWin(TWO_POINT, scale=0.3))
     lo, hi = scn.default_bracket()
     assert lo < -0.4 and hi > 1.4  # pad at least 1.5x the noise span around support
+
+
+# ---------------------------------------------------------------------------
+# continuous noise laws: a value marginal on 64 fixed nodes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "noise, mean, direct",
+    [
+        (UniformNoise(-1.0, 2.0), 0.5, lambda rng, size: -1.0 + 3.0 * rng.random(size)),
+        (TruncatedNormalNoise(0.0, 1.0, -3.0, 3.0), 0.0, None),
+    ],
+    ids=["uniform", "truncated_normal"],
+)
+def test_continuous_noise_atoms_and_draws(noise, mean, direct):
+    pts, wts = noise.atoms()
+    assert pts.shape == wts.shape == (64,)
+    assert np.all(wts > 0) and wts.sum() == pytest.approx(1.0, abs=1e-15)
+    assert abs(np.dot(wts, pts) - mean) <= 1e-14
+    lo, hi = noise.support
+    draws = noise.sample(np.random.default_rng(7), 10_000)
+    assert np.all((draws >= lo) & (draws <= hi))
+    if direct is not None:
+        assert np.array_equal(draws, direct(np.random.default_rng(7), 10_000))
 
 
 # ---------------------------------------------------------------------------

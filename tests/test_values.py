@@ -1,9 +1,12 @@
 """Unit tests for value models and order-statistic machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from riskbid import (
     ConfigError,
@@ -51,18 +54,63 @@ def test_power_marginal():
         PowerDist(0.0, 0.0, 1.0)
 
 
-def test_truncated_normal_marginal():
-    d = TruncatedNormalDist(0.5, 0.2, 0.0, 1.0)
-    assert d.cdf(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert d.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
-    # symmetric about the mean here
-    assert d.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
-    xs = np.linspace(0.05, 0.95, 19)
-    h = 1e-6
-    fd = (d.cdf(xs + h) - d.cdf(xs - h)) / (2 * h)
-    np.testing.assert_allclose(fd, d.pdf(xs), rtol=1e-6)
+#: (mu, sigma, lo, hi): the bulk, a centred truncation, both tails, a
+#: support 29 sigma out and one 50 sigma below the mean
+TRUNCATIONS = {
+    "bulk": (0.4, 0.3, 0.0, 1.0),
+    "centred": (0.5, 0.2, 0.0, 1.0),
+    "upper-tail": (0.0, 1.0, 6.0, 8.0),
+    "lower-tail": (0.0, 1.0, -8.0, -6.0),
+    "far-upper-tail": (0.0, 1.0, 29.0, 30.0),
+    "far-below-mean": (50.0, 1.0, -3.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("mu, sigma, lo, hi", TRUNCATIONS.values(), ids=TRUNCATIONS.keys())
+def test_truncated_normal_marginal(mu, sigma, lo, hi):
+    d = TruncatedNormalDist(mu, sigma, lo, hi)
+    ref = stats.truncnorm((lo - mu) / sigma, (hi - mu) / sigma, loc=mu, scale=sigma)
+    t = np.linspace(lo, hi, 257)
+    np.testing.assert_allclose(d.cdf(t), ref.cdf(t), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(d.pdf(t), ref.pdf(t), rtol=1e-12, atol=0)
+    q = np.linspace(0.0, 1.0, 257)
+    np.testing.assert_allclose(d.ppf(q), ref.ppf(q), rtol=0, atol=1e-12 * (hi - lo))
+    assert d.cdf(lo) == 0.0 and d.cdf(hi) == 1.0
+
+
+def test_truncated_normal_needs_mass():
     with pytest.raises(ConfigError):
         TruncatedNormalDist(0.5, 0.0, 0.0, 1.0)
+    with pytest.raises(ConfigError, match="degenerate"):
+        TruncatedNormalDist(0.0, 1e17, 0.0, 1.0)  # Phi(0) == Phi(1e-17) in doubles
+    with pytest.raises(ConfigError, match="degenerate"):
+        TruncatedNormalDist(0.5, 1e-300, 0.0, 1.0)  # log Phi(-5e299) == -inf
+
+
+@settings(max_examples=60, deadline=None)
+@example(mu=50.0, sigma=0.1, lo=-10.0, width=0.01)  # 600 sigma out: ndtri_exp alone is off
+@given(
+    mu=st.floats(-60.0, 60.0),
+    sigma=st.floats(0.01, 20.0),
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(0.01, 20.0),
+)
+def test_truncated_normal_cdf_ppf_round_trip(mu, sigma, lo, width):
+    d = TruncatedNormalDist(mu, sigma, lo, lo + width)
+    span = d.hi - d.lo
+    t = np.linspace(d.lo, d.hi, 65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        F = d.cdf(t)
+        ends = d.ppf(np.array([0.0, 1.0]))
+        back = d.ppf(F)
+        dens = d.pdf(t)
+    assert np.all((F >= 0.0) & (F <= 1.0)) and np.all(np.diff(F) >= 0.0)
+    np.testing.assert_allclose(ends, [d.lo, d.hi], rtol=0, atol=1e-9 * span)
+    # where the density is tiny the cdf rounds to a flat 0 or 1 and no
+    # inverse can recover t; elsewhere the round trip is exact to 1e-9
+    ok = dens * span > 1e-6
+    np.testing.assert_allclose(back[ok], t[ok], rtol=0, atol=1e-9 * span)
 
 
 def test_mixture_cdf_value():
