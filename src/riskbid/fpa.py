@@ -25,11 +25,18 @@ hundred times per solve.  Those calls pass Python floats, so the hazard,
 outside option and utility evaluators take their float branches: the
 same kernels, checks and rounding as for arrays, with float comparisons
 in place of numpy's 0-d machinery.
+
+The hazard depends on v alone, so one private integrator solves the
+equation for several utilities at once as one ODE system: each stage
+evaluates the hazard once, and each utility keeps its own tradeoff,
+start bid and checks.  ``solve_fpa`` is the one-utility case;
+``compare_risk_aversion_fpa`` integrates the baseline and transformed
+schedules together.
 """
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -70,8 +77,10 @@ def marginal_tradeoff(utility, x, s_v):
 def _tradeoff_raw(utility, x, s_v, value_s=None):
     """The tradeoff without the surplus check; ``value_s`` evaluates u at
     s_v in place of ``utility.value`` (the ODE right-hand side memoizes it).
+    u(x) and u'(x) come from one evaluation of each layer of a composition.
     """
-    return (utility.value(x) - (value_s or utility.value)(s_v)) / utility.deriv(x)
+    ux, dux = utility._value_deriv(x)
+    return (ux - (value_s or utility.value)(s_v)) / dux
 
 
 def closed_form_crra_uniform(n, rho):
@@ -314,7 +323,8 @@ class _IndexedCubic:
 
 
 def _interpolant_slope(dense, t, span):
-    """Derivative of the integrator's dense output at each point of t.
+    """Derivative of each component of the integrator's dense output at
+    each point of t, shape (components, len(t)).
 
     The dense output is piecewise polynomial between accepted steps;
     one ``searchsorted`` picks each point's piece, and a central
@@ -326,15 +336,16 @@ def _interpolant_slope(dense, t, span):
     lo, hi = ts[j], ts[j + 1]
     h = np.minimum(1e-5 * span, (hi - lo) / 8.0)
     c = np.minimum(np.maximum(t, lo + h), hi - h)
-    return (dense(c + h)[0] - dense(c - h)[0]) / (2.0 * h)
+    return (dense(c + h) - dense(c - h)) / (2.0 * h)
 
 
-def check_monotone(bids):
+def check_monotone(bids, _stacklevel=3):
     """Whether solved bids strictly increase along the grid.
 
     Raises ``NonmonotoneSolution`` when the bids fail to increase over
     more than two consecutive grid cells; a shorter wobble only warns
-    with a ``SolverWarning`` attributed to the caller of the solver.
+    with a ``SolverWarning`` attributed to the caller of the solver
+    (``_stacklevel`` frames up from the warning call).
     """
     diffs = np.diff(bids)
     monotone = bool(np.all(diffs > 0))
@@ -350,9 +361,121 @@ def check_monotone(bids):
         warnings.warn(
             "solved bids are not strictly increasing everywhere",
             SolverWarning,
-            stacklevel=3,
+            stacklevel=_stacklevel,
         )
     return monotone
+
+
+def _start_bid(u, lam0, v0, s0, b0, eps, cap):
+    """The bid at the regularized start from the implicit micro-step."""
+
+    def slope_gap(slope):
+        x = v0 - (b0 + eps * slope)
+        return slope - lam0 * _tradeoff_raw(u, x, s0)
+
+    slope_hi = cap * (1.0 - 1e-3) / eps
+    if slope_gap(slope_hi) <= 0.0:
+        # hazard too strong for the implicit step: clip to the surplus cap
+        return b0 + eps * slope_hi
+    return b0 + eps * brentq(slope_gap, 0.0, slope_hi, maxiter=200)
+
+
+def _solve_joint(scenario, utilities):
+    """One equilibrium per utility, all integrated as one ODE system.
+
+    Component i solves beta_i' = hazard(v) * tradeoff_i(v - beta_i(v))
+    from its own start bid; a stage evaluates ``hazard(v)`` once for
+    every component (and not at all when every component is clamped).
+    Each component keeps its own clamp, start, zero-surplus check,
+    ``check_monotone`` and residuals; one array ``hazard`` call on the
+    grid serves every residual check.  The DOP853 error norm is an RMS
+    over the components, so with several utilities a component's steps
+    can be up to 2^(1/16) times longer than in its own solve; with one
+    utility this is exactly the one-component solve.
+    """
+    vm = scenario.values
+    outside = scenario.outside
+    lo, hi = vm.support
+    span = vm.span
+    eps = scenario.start_offset
+    v0 = scenario.start
+    b0 = scenario.boundary_bid
+
+    s0 = float(outside.value(v0))
+    cap = v0 - s0 - b0
+    if cap <= 0:
+        raise SingularHazard(
+            "no room for an undominated bid at the regularized start"
+        )
+    lam0 = vm.hazard(v0)
+    y0 = [_start_bid(u, lam0, v0, s0, b0, eps, cap) for u in utilities]
+
+    # a constant outside option repeats s_v at every stage: one-entry memos
+    memos = [(u, functools.lru_cache(maxsize=1)(u.value)) for u in utilities]
+
+    def rhs(v, y):
+        # plain floats take the scalar branches of the checked kernels
+        v = float(v)
+        s_v = float(outside.value(v))
+        lam = None
+        out = []
+        for (u, value_s), b in zip(memos, y.tolist()):
+            x = v - b
+            if x <= s_v:
+                # only transient trial stages land here; push back toward
+                # positive surplus by flattening the field
+                out.append(0.0)
+                continue
+            if lam is None:
+                lam = vm.hazard(v)
+            out.append(lam * _tradeoff_raw(u, x, s_v, value_s))
+        return out
+
+    tol_int = max(5e-14, min(scenario.ode_tol, 1.0) * 1e-3)
+    sol = solve_ivp(
+        rhs,
+        (v0, hi),
+        y0,
+        method="DOP853",
+        dense_output=True,
+        rtol=tol_int,
+        atol=tol_int,
+        first_step=min(eps / 4.0, span / 1000.0),
+    )
+    if not sol.success:
+        raise SingularHazard(f"integration failed: {sol.message}")
+
+    grid = scenario.report_grid()
+    all_bids = sol.sol(grid)
+
+    s_grid = np.asarray(outside.value(grid))
+    if np.any(grid - s_grid - all_bids <= 0):
+        raise SingularHazard("bid function reached the zero-surplus frontier")
+
+    # a warning names the caller of solve_fpa or compare_risk_aversion_fpa;
+    # a plain loop, since a comprehension is a frame of its own before 3.12
+    monotone = []
+    for bids in all_bids:
+        monotone.append(check_monotone(bids, _stacklevel=4))
+
+    lam = vm.hazard(grid)
+    slopes = _interpolant_slope(sol.sol, grid, span)
+    out = []
+    for u, bids, slope, mono in zip(utilities, all_bids, slopes, monotone):
+        field_val = lam * _tradeoff_raw(u, grid - bids, s_grid)
+        residuals = np.abs(slope - field_val)
+        scaled = residuals / (1.0 + np.abs(field_val))
+        interior = scaled[1:-1] if len(grid) > 2 else scaled
+        out.append(EquilibriumSolution(
+            grid=grid,
+            bids=bids,
+            residuals=residuals,
+            derivative_check=float(np.max(interior)),
+            monotone=mono,
+            v_floor=lo,
+            boundary_bid=b0,
+        ))
+    return out
 
 
 def solve_fpa(scenario):
@@ -373,85 +496,7 @@ def solve_fpa(scenario):
     slope of the dense output.  ``derivative_check`` is the largest
     interior residual scaled by 1 + |field|.
     """
-    u = scenario.effective_utility()
-    vm = scenario.values
-    outside = scenario.outside
-    lo, hi = vm.support
-    span = vm.span
-    eps = scenario.start_offset
-    v0 = scenario.start
-    b0 = scenario.boundary_bid
-
-    s0 = float(outside.value(v0))
-    cap = v0 - s0 - b0
-    if cap <= 0:
-        raise SingularHazard(
-            "no room for an undominated bid at the regularized start"
-        )
-    lam0 = vm.hazard(v0)
-
-    def slope_gap(slope):
-        x = v0 - (b0 + eps * slope)
-        return slope - lam0 * _tradeoff_raw(u, x, s0)
-
-    slope_hi = cap * (1.0 - 1e-3) / eps
-    if slope_gap(slope_hi) <= 0.0:
-        # hazard too strong for the implicit step: clip to the surplus cap
-        y0 = b0 + eps * slope_hi
-    else:
-        slope = brentq(slope_gap, 0.0, slope_hi, maxiter=200)
-        y0 = b0 + eps * slope
-
-    # a constant outside option repeats s_v at every stage: one-entry memo
-    value_s = functools.lru_cache(maxsize=1)(u.value)
-
-    def rhs(v, y):
-        # plain floats take the scalar branches of the checked kernels
-        v = float(v)
-        x = v - float(y[0])
-        s_v = float(outside.value(v))
-        if x <= s_v:
-            # only transient trial stages land here; push back toward
-            # positive surplus by flattening the field
-            return (0.0,)
-        return (vm.hazard(v) * _tradeoff_raw(u, x, s_v, value_s),)
-
-    tol_int = max(5e-14, min(scenario.ode_tol, 1.0) * 1e-3)
-    sol = solve_ivp(
-        rhs,
-        (v0, hi),
-        (y0,),
-        method="DOP853",
-        dense_output=True,
-        rtol=tol_int,
-        atol=tol_int,
-        first_step=min(eps / 4.0, span / 1000.0),
-    )
-    if not sol.success:
-        raise SingularHazard(f"integration failed: {sol.message}")
-
-    grid = scenario.report_grid()
-    bids = sol.sol(grid)[0]
-
-    s_grid = np.asarray(outside.value(grid))
-    if np.any(grid - s_grid - bids <= 0):
-        raise SingularHazard("bid function reached the zero-surplus frontier")
-
-    monotone = check_monotone(bids)
-
-    field_val = vm.hazard(grid) * _tradeoff_raw(u, grid - bids, s_grid)
-    residuals = np.abs(_interpolant_slope(sol.sol, grid, span) - field_val)
-    scaled = residuals / (1.0 + np.abs(field_val))
-
-    return EquilibriumSolution(
-        grid=grid,
-        bids=bids,
-        residuals=residuals,
-        derivative_check=float(np.max(scaled[1:-1])) if len(grid) > 2 else float(np.max(scaled)),
-        monotone=monotone,
-        v_floor=lo,
-        boundary_bid=b0,
-    )
+    return _solve_joint(scenario, [scenario.effective_utility()])[0]
 
 
 @dataclass
@@ -479,18 +524,22 @@ class ComparisonReport:
 def compare_risk_aversion_fpa(scenario):
     """Solve with and without the transform; more risk aversion bids higher.
 
+    Both schedules come from one joint integration, so each stage
+    evaluates the hazard once for both.  They agree with two separate
+    :func:`solve_fpa` calls to the ODE tolerance, not bit for bit: the
+    shared step sizes follow both components' errors.
+
     Raises :class:`OrderingViolation` (with the report attached) when
     the transformed bids fall below the baseline beyond 10x the ODE
     tolerance.
     """
     if scenario.transform is None:
         raise ConfigError("comparison needs a transform on the scenario")
-    base = solve_fpa(replace(scenario, transform=None))
-    bent = solve_fpa(scenario)
-    grid = base.grid
-    s_grid = np.asarray(scenario.outside.value(grid))
     u = scenario.utility
     uh = scenario.effective_utility()
+    base, bent = _solve_joint(scenario, [u, uh])
+    grid = base.grid
+    s_grid = np.asarray(scenario.outside.value(grid))
     m_base = _tradeoff_raw(u, grid - base.bids, s_grid)
     m_bent = _tradeoff_raw(uh, grid - bent.bids, s_grid)
     report = ComparisonReport(

@@ -154,7 +154,13 @@ class _LawNoise(NoiseDist):
         mid, half = 0.5 * (law.hi + law.lo), 0.5 * (law.hi - law.lo)
         self._pts = mid + half * x
         pdf = law.pdf(self._pts)
-        self._wts = w * pdf / np.dot(w, pdf)  # remove the residual quadrature bias
+        mass = np.dot(w, pdf)
+        if not (mass > 0 and np.isfinite(mass)):
+            raise ConfigError(
+                f"{law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
+                "Gauss-Legendre nodes; widen the law or its support"
+            )
+        self._wts = w * pdf / mass  # remove the residual quadrature bias
 
     def atoms(self):
         return self._pts, self._wts

@@ -73,6 +73,10 @@ class Utility:
         """u'(x); raises ``DomainError`` if any entry leaves the domain."""
         return self._checked(self._du, x)
 
+    def _value_deriv(self, x):
+        """(u(x), u'(x)); a composition evaluates each layer once for both."""
+        return self.value(x), self.deriv(x)
+
     def masked_value(self, x):
         """u(x) as an array of x's shape, ``-inf`` where x leaves the domain.
 
@@ -257,6 +261,12 @@ class ComposedUtility(Utility):
 
     def deriv(self, x):
         return self.outer.deriv(self.inner.value(x)) * self.inner.deriv(x)
+
+    def _value_deriv(self, x):
+        # an inner breach raises from inner.value first, as in value(x);
+        # deriv shares value's domain, so it adds no error of its own
+        w, dw = self.inner._value_deriv(x)
+        return self.outer.value(w), self.outer.deriv(w) * dw
 
     def masked_value(self, x):
         # an inner breach gives -inf, which every outer maps to -inf

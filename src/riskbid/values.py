@@ -38,6 +38,15 @@ def _any(mask):
     return mask if isinstance(mask, (bool, np.bool_)) else np.any(mask)
 
 
+def _binomial_term(c, F, j, k):
+    """c * (1 - F)^j * F^k, multiplied left to right.  For j = 0 the
+    factor (1 - F)^0 is exactly 1 (even for a nan F), so it is skipped
+    without changing a bit; single-unit hazards always have j = 0."""
+    if j:
+        c = c * np.power(1.0 - F, j)
+    return c * np.power(F, k)
+
+
 def _first(v, mask):
     """The first entry of v where mask holds, for error messages."""
     return float(np.broadcast_to(v, np.shape(mask))[mask][0])
@@ -334,8 +343,7 @@ class ValueModel:
         out = 0.0
         for p, F in zip(post, cdfs):
             tail = sum(
-                math.comb(m, j) * np.power(1.0 - F, j) * np.power(F, m - j)
-                for j in range(units)
+                _binomial_term(math.comb(m, j), F, j, m - j) for j in range(units)
             )
             out = out + p * tail
         return out
@@ -347,9 +355,7 @@ class ValueModel:
         coef = units * math.comb(m, units)
         out = 0.0
         for p, F, f in zip(post, cdfs, pdfs):
-            out = out + (
-                p * coef * np.power(1.0 - F, units - 1) * np.power(F, m - units) * f
-            )
+            out = out + _binomial_term(p * coef, F, units - 1, m - units) * f
         return out
 
     def kth_win_prob(self, units, v, t):

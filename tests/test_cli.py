@@ -204,6 +204,18 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_zero_mass_noise_exits_3(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "spa_noisy_cara.json")) as fh:
+        doc = json.load(fh)
+    doc["win_payoff"]["noise"] = {"kind": "truncated_normal", "mu": 0.5, "sigma": 1e-10,
+                                  "lo": 0.0, "hi": 1.0}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "quadrature mass 0" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_argparse_errors_exit_3(tmp_path):
     assert main(["frobnicate"]) == 3
     assert main(["solve", "--config", "x.json"]) == 3  # missing --out

@@ -109,6 +109,16 @@ def test_one_array_hazard_call_per_solve(monkeypatch):
     solve_fpa(scn)
     arrays = [shape for shape in calls if shape != ()]
     assert arrays == [(scn.grid,)]
+    # a comparison integrates both schedules at once: one call per stage
+    # and one on the grid serve both
+    bent = replace(scn, transform=CARAUtility(1.0))
+    calls.clear()
+    solve_fpa(bent)
+    stages = len(calls)
+    calls.clear()
+    compare_risk_aversion_fpa(bent)
+    assert [shape for shape in calls if shape != ()] == [(scn.grid,)]
+    assert len(calls) < 1.5 * stages
 
 
 def test_domain_breach_inside_integration_raises():
@@ -123,6 +133,41 @@ def test_domain_breach_inside_integration_raises():
     msg = "CRRAUtility: argument + shift = -1.04712e-07 outside domain ([0, inf)"
     with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
         solve_fpa(scn)
+
+
+def test_domain_breach_inside_joint_integration_raises():
+    # the transform alone breaches: u(s_v) = phi(-v) leaves CRRA's domain past
+    # v = 0.5, which the baseline never evaluates; the joint stages meet it
+    scn = FPAScenario(
+        values=UNIT3,
+        outside=AffineOutside(0.0, -1.0),
+        transform=CRRAUtility(0.5, shift=0.5),
+        grid=129,
+    )
+    assert solve_fpa(replace(scn, transform=None)).monotone
+    with pytest.raises(DomainError, match="^CRRAUtility: argument [+] shift = -1.0"):
+        solve_fpa(scn)
+    with pytest.raises(DomainError, match="^CRRAUtility: argument [+] shift = -1.0"):
+        compare_risk_aversion_fpa(scn)
+
+
+def _flat_cell_grid(scn):
+    """The scenario with one report point repeated: a flat cell, which
+    ``check_monotone`` only warns about."""
+    grid = scn.report_grid()
+    grid[5] = grid[4]
+    scn.report_grid = lambda: grid.copy()
+    return scn
+
+
+def test_monotone_warning_names_the_caller():
+    scn = _flat_cell_grid(FPAScenario(values=UNIT3, transform=CARAUtility(1.0), grid=129))
+    with pytest.warns(SolverWarning) as rec:
+        assert solve_fpa(scn).monotone is False
+    assert [w.filename for w in rec] == [__file__]
+    with pytest.warns(SolverWarning) as rec:
+        compare_risk_aversion_fpa(scn)
+    assert [w.filename for w in rec] == [__file__, __file__]  # one per schedule
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +530,32 @@ def test_compare_more_concave_shades_less():
     d2 = compare_risk_aversion_fpa(sharp)
     # a sharper bend raises bids even further
     assert d2.max_d > d1.max_d
+
+
+def test_compare_matches_separate_solves(fpa_solutions):
+    # the joint step sizes follow both schedules' errors, so the bids move
+    # only at the integration tolerance
+    for name, (scn, base, bent) in fpa_solutions.items():
+        rep = compare_risk_aversion_fpa(scn)
+        assert np.array_equal(rep.grid, base.grid)
+        assert np.max(np.abs(rep.beta - base.bids)) <= scn.ode_tol, name
+        assert np.max(np.abs(rep.beta_hat - bent.bids)) <= scn.ode_tol, name
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in (1.0, 2.0, 3.0)])
+def test_compare_matches_crra_power_oracle(n, k):
+    # IID power(k) values, linear utility bent by unshifted CRRA(rho): both
+    # schedules are linear, km / (km + 1) v, with m = n - 1 before the bend
+    # and m = (n - 1) / (1 - rho) after it (Riley & Samuelson; Krishna 4.1);
+    # rho cycles so that every (n, rho) pair occurs once
+    rho = (0.2, 0.5, 0.8)[(n + int(k)) % 3]
+    scn = FPAScenario(values=ValueModel.iid(PowerDist(k, 0.0, 1.0), n),
+                      transform=CRRAUtility(rho), grid=257)
+    rep = compare_risk_aversion_fpa(scn)
+    keep = rep.grid >= 0.01
+    for m, bids in ((n - 1, rep.beta), ((n - 1) / (1 - rho), rep.beta_hat)):
+        exact = k * m / (k * m + 1) * rep.grid[keep]
+        assert np.max(np.abs(bids[keep] - exact)) <= 1e-9, (m, rho)
 
 
 def test_ordering_violation_raises_with_report():

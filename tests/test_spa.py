@@ -173,6 +173,12 @@ def test_continuous_noise_atoms_and_draws(noise, mean, direct):
         assert np.array_equal(draws, direct(np.random.default_rng(7), 10_000))
 
 
+def test_continuous_noise_needs_quadrature_mass():
+    # all mass within 1e-9 of 0.5, between the nodes: pdf is 0 at every node
+    with pytest.raises(ConfigError, match="quadrature mass 0 on its 64 Gauss-Legendre nodes"):
+        TruncatedNormalNoise(0.5, 1e-10, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # pivotal expectation
 # ---------------------------------------------------------------------------

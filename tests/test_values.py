@@ -1,5 +1,6 @@
 """Unit tests for value models and order-statistic machinery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -331,6 +332,32 @@ def test_kth_rival_density_matches_slope():
     assert m.kth_rival_density(1, 0.5, 0.7) == pytest.approx(
         m.top_rival_density(0.5, 0.7)
     )
+
+
+@pytest.mark.parametrize("model", [ValueModel.iid(UniformDist(0.0, 1.0), 5), UNIT_MIX, EDGE_MIX])
+def test_kth_sums_match_binomial_reference(model):
+    # every term as c (1 - F)^j F^k with all four powers, (1 - F)^0 included,
+    # summed in the same order: the evaluators agree bit for bit, on floats
+    # and on arrays
+    m = model.n - 1
+    t = np.linspace(0.05, 1.0, 33)
+    for units in range(1, model.n):
+        for v in (0.3, t):
+            post = model.posterior(v)
+            F = [d.cdf(v) for d in model.dists]
+            f = [d.pdf(v) for d in model.dists]
+            tail = density = 0.0
+            for p, Fi, fi in zip(post, F, f):
+                tail = tail + p * sum(
+                    math.comb(m, j) * np.power(1.0 - Fi, j) * np.power(Fi, m - j)
+                    for j in range(units)
+                )
+                density = density + (
+                    p * (units * math.comb(m, units)) * np.power(1.0 - Fi, units - 1)
+                    * np.power(Fi, m - units) * fi
+                )
+            assert np.array_equal(model.kth_win_prob(units, v, v), tail)
+            assert np.array_equal(model.kth_rival_density(units, v, v), density)
 
 
 def test_sampling_shape_and_support():
