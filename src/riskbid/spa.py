@@ -18,6 +18,7 @@ tie at the bidder's own bid, so the bid function coincides with the
 single-unit one.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -37,6 +38,12 @@ from .values import ValueModel
 
 _MAX_BISECT = 200
 _MAX_WIDEN = 4
+#: float64 elements per slab of a noise expectation's utility tensor.  A
+#: slab holds whole rows of the leading axis (the last one takes the rest,
+#: so it stays under twice this), which keeps every temporary below
+#: glibc's 128 KiB mmap threshold and inside L2: freed slabs are reused
+#: from the heap instead of being mapped and page-faulted afresh.
+_SLAB = 1 << 13
 
 
 @dataclass
@@ -102,25 +109,60 @@ class SPAScenario:
         return (lo - pad, hi + pad)
 
 
+def _noise_mean(u, v, b, offsets, weights):
+    """sum_k w_k u(v + o_k - b) for each entry of v and b broadcast together.
+
+    ``-inf`` where any noise atom leaves the domain, even at weight 0.  The
+    (..., atoms) tensor of utilities is built one slab of about ``_SLAB``
+    elements at a time along the leading axis; a tensor under two slabs
+    is evaluated whole.  Each slab but the last holds the same multiple
+    of 8 rows, and the last takes the rest, so the matrix-vector products
+    group the rows as the whole tensor would: slabs change no bits unless
+    some rows left the domain.
+    """
+    shape = np.broadcast_shapes(np.shape(v), np.shape(b))
+    n = shape[0] if shape else 1
+    # whole blocks of 8 rows, as a matrix-vector kernel blocks its rows
+    step = max(1, _SLAB // max(1, math.prod(shape[1:]) * offsets.size) // 8 * 8)
+    if n < 2 * step:
+        return _noise_mean_slab(u, v, b, offsets, weights)
+
+    # an operand that broadcasts along the leading axis is passed whole
+    cut_v, cut_b = (np.ndim(a) == len(shape) and np.shape(a)[0] == n for a in (v, b))
+    out = np.empty(shape)
+    k = n // step
+    for i in range(k):
+        s = slice(i * step, n if i == k - 1 else (i + 1) * step)
+        out[s] = _noise_mean_slab(u, v[s] if cut_v else v, b[s] if cut_b else b, offsets, weights)
+    return out
+
+
+def _noise_mean_slab(u, v, b, offsets, weights):
+    vals = u.masked_value(np.asarray(v)[..., None] + offsets - np.asarray(b)[..., None])
+    with np.errstate(invalid="ignore"):  # -inf times a zero weight is nan
+        out = np.asarray(vals @ weights)
+    out[np.isnan(out)] = -np.inf
+    return out
+
+
 def pivotal_expectation(scenario, v, b, utility=None):
     """Expected utility of winning at price b, conditional on being pivotal.
 
     Averages u(W - b) over the win-payoff noise at type v.  A scalar v
     raises ``DomainError`` when W - b leaves the domain.  An array v gives
-    one value per type from a single ``masked_value`` pass over the
-    (types x noise atoms) surplus: ``-inf`` for a type with any noise atom
-    outside the domain (even at weight 0), as that bid is certainly too
-    high.
+    one value per type from ``masked_value`` passes over the (types x
+    noise atoms) surplus: ``-inf`` for a type with any noise atom outside
+    the domain (even at weight 0), as that bid is certainly too high.  The
+    surplus is evaluated in fixed slabs of types, so a call on a fine grid
+    with many atoms reuses a few cache-sized buffers instead of mapping
+    (and page-faulting) a fresh multi-megabyte tensor per temporary.
     """
     u = scenario.effective_utility() if utility is None else utility
     offsets, weights = scenario.win_payoff.offsets()
     if not isinstance(v, np.ndarray):
         out = u.value(v + offsets - b) @ weights
         return out if out.ndim else float(out)
-    vals = u.masked_value(v[..., None] + offsets - np.asarray(b)[..., None])
-    inside = np.all(vals > -np.inf, axis=-1)
-    out = np.full(inside.shape, -np.inf)
-    out[inside] = vals[inside] @ weights
+    out = _noise_mean(u, v, b, offsets, weights)
     return out if out.ndim else float(out)
 
 

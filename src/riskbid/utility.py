@@ -44,20 +44,20 @@ class Utility:
     #: Whether the lower end is excluded.
     domain_open = False
 
-    def _checked(self, kernel, x):
+    def _arg(self, x):
+        """x + shift after the domain check: a float for a float, else an array."""
         lo = self.domain_lo
         if isinstance(x, float):
             # a scalar (an ODE stage, say) is checked by one float comparison
             z = x + self.shift
             if z <= lo if self.domain_open else z < lo:
                 self._domain_error(z)
-            return float(kernel(z))
+            return z
         z = np.asarray(x, dtype=float) + self.shift
         # nothing lies below an unbounded domain, so only bounded ones scan
         if lo > -np.inf and np.any(z <= lo if self.domain_open else z < lo):
             self._domain_error(np.min(z))
-        out = kernel(z)
-        return float(out) if z.ndim == 0 else out
+        return z
 
     def _domain_error(self, z):
         raise DomainError(
@@ -67,15 +67,23 @@ class Utility:
 
     def value(self, x):
         """u(x); raises ``DomainError`` if any entry leaves the domain."""
-        return self._checked(self._u, x)
+        z = self._arg(x)
+        out = self._u(z)
+        return out if isinstance(z, np.ndarray) and z.ndim else float(out)
 
     def deriv(self, x):
         """u'(x); raises ``DomainError`` if any entry leaves the domain."""
-        return self._checked(self._du, x)
+        z = self._arg(x)
+        out = self._du(z)
+        return out if isinstance(z, np.ndarray) and z.ndim else float(out)
 
     def _value_deriv(self, x):
-        """(u(x), u'(x)); a composition evaluates each layer once for both."""
-        return self.value(x), self.deriv(x)
+        """(u(x), u'(x)) from one domain check; a composition evaluates each
+        layer once for both."""
+        z = self._arg(x)
+        if isinstance(z, np.ndarray) and z.ndim:
+            return self._u(z), self._du(z)
+        return float(self._u(z)), float(self._du(z))
 
     def masked_value(self, x):
         """u(x) as an array of x's shape, ``-inf`` where x leaves the domain.
@@ -105,7 +113,7 @@ class LinearUtility(Utility):
         return z
 
     def _du(self, z):
-        return np.ones_like(z)
+        return 1.0 if isinstance(z, float) else np.ones_like(z)
 
     def to_config(self):
         return {"family": "linear", "shift": self.shift}
@@ -207,21 +215,23 @@ class PiecewiseLinearUtility(Utility):
         knots = [(float(x), float(m)) for x, m in knots]
         if not knots:
             raise ConfigError("piecewise-linear utility needs at least one knot")
-        xs = np.array([k[0] for k in knots])
-        ms = np.array([k[1] for k in knots])
-        if np.any(np.diff(xs) <= 0):
+        # a handful of knots: checked and summed on Python floats, which
+        # round as numpy does
+        xs = [x for x, _ in knots]
+        ms = [m for _, m in knots]
+        if any(b - a <= 0 for a, b in zip(xs, xs[1:])):
             raise ConfigError("piecewise-linear knots must be strictly increasing")
-        if np.any(ms <= 0):
+        if any(m <= 0 for m in ms):
             raise ConfigError("piecewise-linear slopes must be positive")
-        if np.any(np.diff(ms) > 1e-15):
+        if any(b - a > 1e-15 for a, b in zip(ms, ms[1:])):
             raise ConfigError("piecewise-linear slopes must be nonincreasing")
-        self.knot_x = xs
-        self.knot_m = ms
         # cumulative values at knots, anchored at 0
-        vals = np.zeros_like(xs)
-        if len(xs) > 1:
-            vals[1:] = np.cumsum(ms[:-1] * np.diff(xs))
-        self.knot_v = vals
+        vals = [0.0]
+        for i in range(1, len(xs)):
+            vals.append(vals[-1] + ms[i - 1] * (xs[i] - xs[i - 1]))
+        self.knot_x = np.array(xs)
+        self.knot_m = np.array(ms)
+        self.knot_v = np.array(vals)
         self.shift = float(shift)
 
     def _segment(self, z):
@@ -266,7 +276,8 @@ class ComposedUtility(Utility):
         # an inner breach raises from inner.value first, as in value(x);
         # deriv shares value's domain, so it adds no error of its own
         w, dw = self.inner._value_deriv(x)
-        return self.outer.value(w), self.outer.deriv(w) * dw
+        y, dy = self.outer._value_deriv(w)
+        return y, dy * dw
 
     def masked_value(self, x):
         # an inner breach gives -inf, which every outer maps to -inf

@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import FORMATS
 from .errors import ConfigError
+from .spa import _noise_mean
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 #: audit gains at most this many relative ulps of the truthful utility
@@ -57,9 +58,12 @@ def spa_report_utility(scenario, solution, v, t):
     ``units``.  ``t`` may be a scalar (returns a float) or an array, and
     is clamped to the support.  The reports, plus the bottom of the
     support, split the integral into fixed Gauss-Legendre panels summed
-    cumulatively, so a whole deviation sweep costs one pass.  A domain
-    breach anywhere in a report's win branch makes that report and all
-    larger ones -inf.
+    cumulatively, so a whole deviation sweep costs one pass.  The noise
+    expectation at the panel nodes is evaluated in fixed slabs of panels,
+    so each audited type reuses a few cache-sized buffers instead of
+    mapping (and page-faulting) a fresh multi-megabyte tensor per
+    temporary.  A domain breach anywhere in a report's win branch makes
+    that report and all larger ones -inf.
     """
     u = scenario.effective_utility()
     vm = scenario.values
@@ -77,9 +81,7 @@ def spa_report_utility(scenario, solution, v, t):
     node_w = half[:, None] * _GL8_WEIGHTS[None, :]
 
     bids = np.asarray(solution.bid_at(nodes), dtype=float)
-    surplus = v + offsets[None, None, :] - bids[:, :, None]
-    vals = u.masked_value(surplus)
-    m = vals @ wts
+    m = _noise_mean(u, v, bids, offsets, wts)
     dens = np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float)
     with np.errstate(invalid="ignore"):
         g = m * dens

@@ -1,6 +1,7 @@
 """Unit tests for the second-price and uniform-price solvers."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -28,7 +29,8 @@ from riskbid import (
     solve_spa,
     solve_uniform_price,
 )
-from riskbid.spa import _MAX_BISECT, _MAX_WIDEN
+from riskbid import spa
+from riskbid.spa import _MAX_BISECT, _MAX_WIDEN, _SLAB
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 TWO_POINT = DiscreteNoise([-1.0, 1.0], [0.5, 0.5])
@@ -115,6 +117,16 @@ def reference_solve_spa(scenario):
         bids[i] = bid
         residuals[i] = resid
     return bids, residuals
+
+
+def reference_noise_mean(u, v, b, offsets, weights):
+    """The array branch of ``pivotal_expectation`` over the whole (types x
+    atoms) tensor in one pass, as before it was evaluated in slabs."""
+    vals = u.masked_value(v[..., None] + offsets - np.asarray(b)[..., None])
+    inside = np.all(vals > -np.inf, axis=-1)
+    out = np.full(inside.shape, -np.inf)
+    out[inside] = vals[inside] @ weights
+    return out
 
 
 def assert_matches_reference(scenario, sol):
@@ -466,3 +478,75 @@ def test_pivotal_expectation_array_is_minus_inf_out_of_domain():
     with pytest.raises(DomainError):
         pivotal_expectation(scn, 0.5, 0.5)
     assert pivotal_expectation(scn, np.empty(0), np.empty(0)).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# slabbed noise expectation: 1025 types x 64 atoms spans several slabs
+# ---------------------------------------------------------------------------
+
+TNORM64 = NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.2)
+
+
+def test_slabbed_solve_matches_scalar_reference():
+    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0),
+                      win_payoff=TNORM64, grid=1025)
+    assert scn.grid * 64 >= 4 * _SLAB
+    assert_matches_reference(scn, solve_spa(scn))
+
+
+@pytest.mark.parametrize(
+    "transform, atol",
+    [
+        (CRRAUtility(0.5, shift=2.0), 0.0),
+        (CARAUtility(1.5), 0.0),
+        # some types leave the domain in a bisection step: the whole-tensor
+        # form dropped those rows before the matrix-vector product, a slab
+        # keeps them, so a few finite rows are rounded at another position
+        (CRRAUtility(0.5, shift=0.3), 4 * np.finfo(float).eps),
+    ],
+    ids=["crra", "cara", "crra_domain_edge"],
+)
+def test_slabbed_solve_matches_whole_tensor_solve(monkeypatch, transform, atol):
+    # against the same bisection with the expectation taken over each
+    # step's whole (types x atoms) tensor: bids bit for bit, residuals too
+    # unless a step left the domain
+    scn = SPAScenario(values=UNIT3, transform=transform, win_payoff=TNORM64, grid=1025)
+    sol = solve_spa(scn)
+    with monkeypatch.context() as m:
+        m.setattr(spa, "_noise_mean", reference_noise_mean)
+        whole = solve_spa(scn)
+    assert sol.bids.tobytes() == whole.bids.tobytes()
+    np.testing.assert_allclose(sol.residuals, whole.residuals, rtol=0.0, atol=atol)
+
+
+def test_slabbed_pivotal_expectation_within_4_ulp():
+    # a slab's matrix-vector product may round a row as a different
+    # position in the product than the whole tensor did
+    scn = SPAScenario(values=UNIT3, utility=CRRAUtility(0.5, shift=0.3), win_payoff=TNORM64,
+                      grid=1025)
+    u = scn.effective_utility()
+    offsets, weights = scn.win_payoff.offsets()
+    v = scn.report_grid()
+    b = 0.5 * v + 0.2 * np.sin(40.0 * v)  # scattered rows leave the domain
+    got = pivotal_expectation(scn, v, b)
+    ref = reference_noise_mean(u, v, b, offsets, weights)
+    out = np.isneginf(ref)
+    assert 0 < out.sum() < out.size
+    np.testing.assert_array_equal(np.isneginf(got), out)
+    assert np.all(np.abs(got[~out] - ref[~out]) <= 4 * np.spacing(np.abs(ref[~out])))
+
+
+def test_pivotal_expectation_never_holds_the_whole_tensor():
+    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0), win_payoff=TNORM64,
+                      grid=1025)
+    v = scn.report_grid()
+    b = 0.8 * v
+    whole = v.size * 64 * 8  # bytes of one (types x atoms) float64 tensor
+    pivotal_expectation(scn, v, b)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        pivotal_expectation(scn, v, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole, (peak, whole)

@@ -111,6 +111,40 @@ def test_piecewise_validation():
         PiecewiseLinearUtility([(0.0, -1.0)])
 
 
+@pytest.mark.parametrize(
+    "knots, msg",
+    [
+        ([], "piecewise-linear utility needs at least one knot"),
+        ([(0.0, 1.0), (0.0, 0.5)], "piecewise-linear knots must be strictly increasing"),
+        ([(0.0, 1.0), (1.0, 0.5), (0.5, 0.2)],
+         "piecewise-linear knots must be strictly increasing"),
+        ([(0.0, -1.0)], "piecewise-linear slopes must be positive"),
+        ([(0.0, 1.0), (1.0, 0.0)], "piecewise-linear slopes must be positive"),
+        ([(0.0, 1.0), (1.0, 2.0)], "piecewise-linear slopes must be nonincreasing"),
+        ([(0.0, 1.0), (1.0, 1.0 + 2e-15)], "piecewise-linear slopes must be nonincreasing"),
+    ],
+    ids=["empty", "repeated_knot", "decreasing_knot", "negative_slope", "zero_slope",
+         "increasing_slope", "slope_rise_above_1e-15"],
+)
+def test_piecewise_error_text(knots, msg):
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+        PiecewiseLinearUtility(knots)
+
+
+def test_piecewise_knot_arrays():
+    # a slope rise of at most 1e-15 is rounding, not convexity
+    PiecewiseLinearUtility([(0.0, 1.0), (1.0, 1.0 + 1e-16)])
+    for knots in ([(0.3, 2.0)], [(-2.0, 3.0), (0.0, 1.0)],
+                  [(0.1, 5.0), (1.3, 2.0), (2.7, 0.5)], [(-0.7, 0.9), (0.2, 0.6), (1.1, 0.3)]):
+        u = PiecewiseLinearUtility(knots)
+        xs = np.array([x for x, _ in knots])
+        ms = np.array([m for _, m in knots])
+        vals = np.zeros_like(xs)
+        vals[1:] = np.cumsum(ms[:-1] * np.diff(xs))
+        for got, want in ((u.knot_x, xs), (u.knot_m, ms), (u.knot_v, vals)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), knots
+
+
 def test_shift_semantics():
     base = CRRAUtility(0.5)
     shifted = CRRAUtility(0.5, shift=1.5)
@@ -162,6 +196,43 @@ def test_vector_and_scalar_agree():
                     out = f(arg)
                     assert type(out) is float, (w, method, arg)
                     assert np.float64(out).tobytes() == vec[i].tobytes(), (w, method, arg)
+
+
+def test_value_deriv_matches_value_and_deriv():
+    # one domain check serves both kernels: the same bits, types and errors
+    # as separate value and deriv calls
+    xs = np.array([0.3, 1.25, 4.0])
+    for w in FAMILIES + COMPOSED:
+        for arg in (0.3, np.float64(1.25), np.array(4.0), xs):
+            val, der = w._value_deriv(arg)
+            for got, want in ((val, w.value(arg)), (der, w.deriv(arg))):
+                assert type(got) is type(want), (w, arg)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (w, arg)
+
+
+@pytest.mark.parametrize(
+    "u, x, msg",
+    [
+        (CRRAUtility(0.5, shift=1.0), -3.0,
+         "CRRAUtility: argument + shift = -2 outside domain ([0, inf)"),
+        (CRRAUtility(0.5, shift=1.0), np.array([-3.0, 1.0]),
+         "CRRAUtility: argument + shift = -2 outside domain ([0, inf)"),
+        (compose(LogUtility(), CRRAUtility(0.5)), 0.0,
+         "LogUtility: argument + shift = 0 outside domain ((0, inf)"),
+        (compose(LogUtility(), CRRAUtility(0.5)), np.array([-1.0, 4.0]),
+         "CRRAUtility: argument + shift = -1 outside domain ([0, inf)"),
+    ],
+    ids=["float", "array", "composed-outer-float", "composed-inner-array"],
+)
+def test_value_deriv_domain_error_message(u, x, msg):
+    with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+        u._value_deriv(x)
+
+
+def test_linear_deriv_of_a_float_is_one():
+    assert LinearUtility(shift=0.4).deriv(0.3) == 1.0
+    assert LinearUtility()._du(0.3) == 1.0
+    np.testing.assert_array_equal(LinearUtility().deriv(np.array([0.3, -2.0])), [1.0, 1.0])
 
 
 def test_domain_mask_elementwise():

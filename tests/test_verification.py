@@ -1,6 +1,7 @@
 """Unit tests for report-utility curves, audits, and Monte Carlo runs."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from riskbid import (
     CARAUtility,
     ConfigError,
     CRRAUtility,
+    DeterministicWin,
     DiscreteNoise,
     EquilibriumSolution,
     FPAScenario,
@@ -18,6 +20,7 @@ from riskbid import (
     NoisyWin,
     PowerDist,
     SPAScenario,
+    TruncatedNormalNoise,
     UniformDist,
     ValueModel,
     best_response_audit,
@@ -29,6 +32,8 @@ from riskbid import (
     solve_uniform_price,
     spa_report_utility,
 )
+from riskbid.spa import _SLAB
+from riskbid.verification import _GL8_NODES, _GL8_WEIGHTS
 
 U2 = ValueModel.iid(UniformDist(0.0, 1.0), 2)
 U3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
@@ -59,6 +64,41 @@ def spa_report_utility_quad(scenario, solution, v, t):
         warnings.simplefilter("error", IntegrationWarning)
         win_term, _ = quad(integrand, lo, t, limit=200)
     return win_term + u_s * (1.0 - q)
+
+
+def reference_spa_report_utility(scenario, solution, v, t):
+    """``spa_report_utility`` with the noise expectation taken over the
+    whole (panels x 8 x atoms) tensor in one pass, as before it was
+    evaluated in slabs."""
+    u = scenario.effective_utility()
+    vm = scenario.values
+    units = scenario.units
+    lo, hi = vm.support
+    offsets, wts = scenario.win_payoff.offsets()
+    u_s = float(u.value(scenario.outside.value(v)))
+
+    t = np.clip(np.asarray(t, dtype=float), lo, hi)
+    ts, where = np.unique(np.concatenate([[lo], t.ravel()]), return_inverse=True)
+    q = np.asarray(vm.kth_win_prob(units, v, ts), dtype=float)
+    a, b = ts[:-1], ts[1:]
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GL8_NODES[None, :]
+    node_w = half[:, None] * _GL8_WEIGHTS[None, :]
+
+    bids = np.asarray(solution.bid_at(nodes), dtype=float)
+    surplus = v + offsets[None, None, :] - bids[:, :, None]
+    vals = u.masked_value(surplus)
+    m = vals @ wts
+    dens = np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float)
+    with np.errstate(invalid="ignore"):
+        g = m * dens
+        panel = np.sum(g * node_w, axis=1)
+    panel[~np.isfinite(g).all(axis=1)] = -np.inf
+    win_term = np.concatenate([[0.0], np.cumsum(panel)])
+    psi = win_term + u_s * (1.0 - q)
+    psi[0] = u_s
+    out = psi[where[1:]].reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +226,72 @@ def test_report_utility_out_of_domain_is_minus_inf():
     assert psi[0] == 0.0
     assert np.isfinite(psi[1])  # every bid below 0.55 keeps surplus
     assert np.all(psi[2:] == -np.inf)
+
+
+# ---------------------------------------------------------------------------
+# slabbed noise expectation
+# ---------------------------------------------------------------------------
+
+#: 64 atoms, the continuous-noise quadrature
+_TNORM64 = NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.1)
+
+
+def _slab_panels(scenario):
+    """Report panels per slab of the (panels x 8 x atoms) utility tensor."""
+    return _SLAB // (8 * scenario.win_payoff.offsets()[0].size)
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [DeterministicWin(), NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), scale=0.2), _TNORM64],
+    ids=["deterministic", "two_point", "tnorm64"],
+)
+def test_spa_report_utility_slabs_match_whole_tensor(payoff):
+    scn = SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=payoff, grid=129)
+    sol = solve_spa(scn)
+    panels = 3 * _slab_panels(scn) + 5  # three slabs, the last with a ragged end
+    t = np.linspace(0.0, 1.0, panels + 1)[1:]
+    for v in (0.0, 0.37, 1.0):
+        got = spa_report_utility(scn, sol, v, t)
+        assert got.tobytes() == reference_spa_report_utility(scn, sol, v, t).tobytes(), v
+
+
+@pytest.mark.parametrize("where", ["inside_slab", "slab_boundary"])
+def test_spa_report_utility_slabs_match_whole_tensor_across_breach(where):
+    # truthful bids b(z) = z under a CRRA base: a node z's win branch leaves
+    # the domain on the lowest atom once z > v + shift + min(offset), so
+    # the shift places the first -inf node inside a slab or on its first row
+    v = 0.3
+    scn = SPAScenario(values=U3, win_payoff=_TNORM64, grid=129)
+    step = _slab_panels(scn)
+    panels = 4 * step
+    ts = np.linspace(0.0, 1.0, panels + 1)
+    first = 2 * step + step // 2 if where == "inside_slab" else 2 * step
+    z_breach = ts[first] + (0.5 * (ts[1] - ts[0]) if where == "inside_slab" else 0.0)
+    shift = z_breach - v - np.min(_TNORM64.offsets()[0])
+    scn = SPAScenario(values=U3, utility=CRRAUtility(0.5, shift=shift), win_payoff=_TNORM64,
+                      grid=129)
+    grid = np.linspace(0.0, 1.0, 129)
+    sol = EquilibriumSolution.from_grid(grid, grid)
+    ref = reference_spa_report_utility(scn, sol, v, ts[1:])
+    # psi at report ts[j + 1] closes panel j: the first breached panel is `first`
+    assert np.argmax(ref == -np.inf) == first and np.all(ref[first:] == -np.inf)
+    assert spa_report_utility(scn, sol, v, ts[1:]).tobytes() == ref.tobytes()
+
+
+def test_spa_report_utility_never_holds_the_whole_tensor():
+    scn = SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=_TNORM64, grid=129)
+    sol = solve_spa(scn)
+    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 512), [0.37]]))  # an audit sweep
+    whole = (ts.size - 1) * 8 * 64 * 8  # bytes of one (panels x 8 x atoms) float64 tensor
+    spa_report_utility(scn, sol, 0.37, ts)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        spa_report_utility(scn, sol, 0.37, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole, (peak, whole)
 
 
 # ---------------------------------------------------------------------------
