@@ -14,7 +14,6 @@ Three pieces:
 
 from .errors import (
     BidOrderError,
-    BracketError,
     ConfigError,
     DomainError,
     DominancePrecondition,

@@ -45,10 +45,6 @@ class NonmonotoneSolution(RiskbidError):
     """A solved bid function decreases over a region too wide to be noise."""
 
 
-class BracketError(RiskbidError):
-    """A root bracket could not be established or refined."""
-
-
 class OrderingViolation(RiskbidError):
     """A comparative-statics ordering failed beyond numerical tolerance.
 

@@ -204,13 +204,6 @@ class WinPayoff:
     def sample(self, rng, v):
         raise NotImplementedError
 
-    def mean_offset(self):
-        d, w = self.offsets()
-        return float(np.dot(w, d))
-
-    def noise_span(self):
-        return 0.0
-
     def to_config(self):
         raise NotImplementedError
 
@@ -244,10 +237,6 @@ class NoisyWin(WinPayoff):
     def sample(self, rng, v):
         v = np.asarray(v, dtype=float)
         return v + self.scale * self.noise.sample(rng, v.shape)
-
-    def noise_span(self):
-        lo, hi = self.noise.support
-        return self.scale * (hi - lo)
 
     def to_config(self):
         return {

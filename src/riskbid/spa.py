@@ -8,10 +8,16 @@ winning at their own bid and the outside option:
 
     E[ u(W - b) | pivotal ] = u(s(v)),
 
-where W is the (possibly noisy) payoff of winning.  The left side is
-strictly decreasing in b, so the bids are found by bisection: one array
-bisection over all grid types, each narrowing its own bracket, with a
-(types x noise atoms) surplus matrix evaluated at every step.
+where W = v + o is the payoff of winning, o an additive noise offset.
+The left side depends on v and b only through x = v - b, so the
+condition is one scalar equation per outside-option level s,
+
+    M(x) = sum_k w_k u(x + o_k) = u(s),
+
+and b(v) = v - x(s(v)).  M is increasing, and u(x + min o) <= M(x) <=
+u(x + max o), so the root lies in [s - max o, s - min o]; one array
+bisection over the distinct levels solves them all.  Under CARA, x is s
+less the noise's certainty equivalent (Pratt).
 The same logic covers the uniform-price auction selling several
 identical units at the highest losing bid: the pivotal event is again a
 tie at the bidder's own bid, so the bid function coincides with the
@@ -25,19 +31,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConfigError,
-    OrderingViolation,
-    SolverWarning,
-)
+from .errors import ConfigError, OrderingViolation, SolverWarning
 from .fpa import ComparisonReport, EquilibriumSolution, check_monotone
 from .outcomes import ConstantOutside, DeterministicWin, OutsideOption, WinPayoff
 from .utility import LinearUtility, Utility, effective_utility
 from .values import ValueModel
 
 _MAX_BISECT = 200
-_MAX_WIDEN = 4
 #: float64 elements per slab of a noise expectation's utility tensor.  A
 #: slab holds whole rows of the leading axis (the last one takes the rest,
 #: so it stays under twice this), which keeps every temporary below
@@ -52,7 +52,6 @@ class SPAScenario:
 
     ``units`` is the number of identical units sold at the highest
     losing bid; one unit is the ordinary second-price auction.
-    ``bracket`` optionally overrides the automatic root bracket.
     """
 
     values: ValueModel
@@ -63,7 +62,6 @@ class SPAScenario:
     units: int = 1
     grid: int = 257
     root_tol: float = 1e-10
-    bracket: Optional[tuple] = None
 
     def __post_init__(self):
         if not isinstance(self.units, (int, np.integer)) or self.units < 1:
@@ -83,11 +81,6 @@ class SPAScenario:
             raise ConfigError(f"grid must be an integer >= 64, got {self.grid}")
         if not self.root_tol > 0:
             raise ConfigError(f"root_tol must be > 0, got {self.root_tol}")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not lo < hi:
-                raise ConfigError(f"bracket must satisfy lo < hi, got {self.bracket}")
-            self.bracket = (float(lo), float(hi))
 
     def effective_utility(self):
         return effective_utility(self.utility, self.transform)
@@ -95,18 +88,6 @@ class SPAScenario:
     def report_grid(self):
         lo, hi = self.values.support
         return np.linspace(lo, hi, self.grid)
-
-    def default_bracket(self):
-        lo, hi = self.values.support
-        probe = np.linspace(lo, hi, 257)
-        s_abs = float(np.max(np.abs(np.asarray(self.outside.value(probe)))))
-        pad = (
-            s_abs
-            + abs(self.win_payoff.mean_offset())
-            + 1.5 * self.win_payoff.noise_span()
-            + 1e-9 * max(1.0, hi - lo)
-        )
-        return (lo - pad, hi + pad)
 
 
 def _noise_mean(u, v, b, offsets, weights):
@@ -169,79 +150,59 @@ def pivotal_expectation(scenario, v, b, utility=None):
 def solve_spa(scenario):
     """Solve the pivotal-indifference condition on the reporting grid.
 
-    All grid types are bisected together, each inside its own bracket:
-    a type whose bracket end fails its sign check has that end widened
-    (up to ``_MAX_WIDEN`` times), and every step evaluates the still
-    active types in one ``pivotal_expectation`` call.  Returns an
-    :class:`EquilibriumSolution` whose ``residuals`` column holds the
-    absolute indifference gap at each solved bid.
+    One array bisection finds, for each distinct outside-option level s,
+    the surplus x with M(x) = u(s) inside [s - max o, s - min o] (every
+    noise atom counts, weight 0 included); a type bids v - x(s(v)).  A
+    level whose root lies past the utility's domain edge is pinned at the
+    smallest finite x.  Returns an :class:`EquilibriumSolution` whose
+    ``residuals`` column holds the absolute indifference gap at each
+    solved bid, from one ``pivotal_expectation`` pass over the grid; a
+    type whose bid leaves the domain by a rounding reports the gap at its
+    level's x instead.
     """
     u = scenario.effective_utility()
     grid = scenario.report_grid()
-    target = u.value(np.broadcast_to(scenario.outside.value(grid), grid.shape))
+    levels, inverse = np.unique(scenario.outside.value(grid), return_inverse=True)
+    target = u.value(levels)
+    offsets, weights = scenario.win_payoff.offsets()
     tol = scenario.root_tol
     resid_tol = tol * (1.0 + np.abs(target))
 
-    def gap(rows, b):
-        return pivotal_expectation(scenario, grid[rows], b, utility=u) - target[rows]
+    def gap(rows, x):
+        return _noise_mean(u, x, 0.0, offsets, weights) - target[rows]
 
-    lo0, hi0 = scenario.bracket if scenario.bracket is not None else scenario.default_bracket()
-    lo, hi = np.full_like(grid, lo0), np.full_like(grid, hi0)
-    f_lo, bids, residuals = np.empty_like(grid), np.empty_like(grid), np.empty_like(grid)
-    todo, inner = np.arange(grid.size), []
-    for attempt in range(_MAX_WIDEN + 1):
-        fl = f_lo[todo] = gap(todo, lo[todo])
-        neg = fl < 0.0
-        fh = np.full_like(fl, np.nan)  # the hi end is only tried when lo passes
-        fh[~neg] = gap(todo[~neg], hi[todo[~neg]])
-        pos = fh > 0.0
-        # the scalar checks in order: a failing end is widened, a small or
-        # exactly zero gap at an end is the bid, the rest are bisected
-        bad_lo = neg & ~(np.abs(fl) <= resid_tol[todo])
-        bad_hi = pos & ~(fh <= resid_tol[todo])
-        at_lo = (neg & ~bad_lo) | (~pos & (fl == 0.0))
-        at_hi = (pos & ~bad_hi) | ((fh == 0.0) & (fl != 0.0))
-        for end, f, at in ((lo, fl, at_lo), (hi, fh, at_hi)):
-            bids[todo[at]], residuals[todo[at]] = end[todo[at]], np.abs(f[at])
-        fail = bad_lo | bad_hi
-        inner.append(todo[~(fail | at_lo | at_hi)])
-        if not np.any(fail):
-            break
-        if attempt == _MAX_WIDEN:
-            i = todo[fail][0]
-            raise BracketError(
-                f"could not bracket the indifference root for type {grid[i]:g} "
-                f"after widening to [{lo[i]:g}, {hi[i]:g}]"
-            )
-        width = hi - lo
-        lo[todo[bad_lo]] -= width[todo[bad_lo]]
-        hi[todo[bad_hi]] += width[todo[bad_hi]]
-        todo = todo[fail]
-
-    rows = np.sort(np.concatenate(inner))
-    a, fa, c = lo[rows], f_lo[rows], hi[rows]
+    x, x_gap = np.empty_like(levels), np.empty_like(levels)
+    rows = np.arange(levels.size)
+    lo, hi = levels - np.max(offsets), levels - np.min(offsets)
+    f_hi = gap(rows, hi)  # M(hi) >= u(s): finite, and the pin's gap
     for _ in range(_MAX_BISECT):
         if rows.size == 0:
             break
-        mid = 0.5 * (a + c)
+        mid = 0.5 * (lo + hi)
         f_mid = gap(rows, mid)
-        width_ok = (c - a) <= tol * np.maximum(1.0, np.abs(mid))
+        width_ok = (hi - lo) <= tol * np.maximum(1.0, np.abs(mid))
         finite = np.isfinite(f_mid)
         hit = width_ok & finite & (np.abs(f_mid) <= resid_tol[rows])
         pin = width_ok & ~finite  # root pinned against the utility's domain edge
-        bids[rows[hit]], residuals[rows[hit]] = mid[hit], np.abs(f_mid[hit])
-        bids[rows[pin]], residuals[rows[pin]] = a[pin], np.abs(fa[pin])
+        x[rows[hit]], x_gap[rows[hit]] = mid[hit], f_mid[hit]
+        x[rows[pin]], x_gap[rows[pin]] = hi[pin], f_hi[pin]
         up = f_mid > 0.0
-        a, fa, c = np.where(up, mid, a), np.where(up, f_mid, fa), np.where(up, c, mid)
+        lo, hi, f_hi = np.where(up, lo, mid), np.where(up, mid, hi), np.where(up, f_mid, f_hi)
         keep = ~(hit | pin)
-        rows, a, fa, c, mid, f_mid = rows[keep], a[keep], fa[keep], c[keep], mid[keep], f_mid[keep]
+        rows, lo, hi, f_hi, mid, f_mid = (a[keep] for a in (rows, lo, hi, f_hi, mid, f_mid))
     if rows.size:
-        bids[rows] = mid
-        residuals[rows] = np.where(np.isfinite(f_mid), np.abs(f_mid), np.abs(fa))
+        finite = np.isfinite(f_mid)
+        x[rows], x_gap[rows] = np.where(finite, mid, hi), np.where(finite, f_mid, f_hi)
+
+    bids = grid - x[inverse]
+    gaps = pivotal_expectation(scenario, grid, bids, utility=u) - target[inverse]
+    residuals = np.abs(np.where(np.isfinite(gaps), gaps, x_gap[inverse]))
+    if rows.size:
+        types = np.flatnonzero(np.isin(inverse, rows))
         warnings.warn(
             f"indifference residual above tolerance after {_MAX_BISECT} bisection "
-            f"steps at {rows.size} of {grid.size} types (worst "
-            f"{np.max(residuals[rows]):.3e}, first at type {grid[rows[0]]:g})",
+            f"steps at {types.size} of {grid.size} types (worst "
+            f"{np.max(residuals[types]):.3e}, first at type {grid[types[0]]:g})",
             SolverWarning,
             stacklevel=2,
         )
@@ -250,7 +211,7 @@ def solve_spa(scenario):
         grid=grid,
         bids=bids,
         residuals=residuals,
-        derivative_check=float(np.max(residuals / (1.0 + np.abs(target)))),
+        derivative_check=float(np.max(residuals / (1.0 + np.abs(target[inverse])))),
         monotone=check_monotone(bids),
         v_floor=float(grid[0]),
         boundary_bid=float(bids[0]),

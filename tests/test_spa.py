@@ -10,9 +10,9 @@ import pytest
 
 from riskbid import (
     AffineOutside,
-    BracketError,
     CARAUtility,
     ConfigError,
+    ConstantOutside,
     CRRAUtility,
     DiscreteNoise,
     DomainError,
@@ -30,7 +30,7 @@ from riskbid import (
     solve_uniform_price,
 )
 from riskbid import spa
-from riskbid.spa import _MAX_BISECT, _MAX_WIDEN, _SLAB
+from riskbid.spa import _MAX_BISECT, _SLAB
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 TWO_POINT = DiscreteNoise([-1.0, 1.0], [0.5, 0.5])
@@ -43,8 +43,8 @@ TWO_POINT = DiscreteNoise([-1.0, 1.0], [0.5, 0.5])
 def _reference_root(scenario, u, v, lo, hi, target):
     """Bisect the indifference condition for one type.
 
-    Returns ("ok", bid, residual) on success or ("lo"/"hi", None, None)
-    when the bracket end on that side fails its sign check.
+    Returns (bid, residual); an end that fails its sign check (the
+    bracket misses the root) fails the calling test.
     """
     tol = scenario.root_tol
     resid_tol = tol * (1.0 + abs(target))
@@ -57,18 +57,16 @@ def _reference_root(scenario, u, v, lo, hi, target):
 
     f_lo = gap(lo)
     if f_lo < 0.0:
-        if abs(f_lo) <= resid_tol:
-            return "ok", lo, abs(f_lo)
-        return "lo", None, None
+        assert abs(f_lo) <= resid_tol, f"bracket end {lo:g} is above the root of type {v:g}"
+        return lo, abs(f_lo)
     f_hi = gap(hi)
     if f_hi > 0.0:
-        if f_hi <= resid_tol:
-            return "ok", hi, f_hi
-        return "hi", None, None
+        assert f_hi <= resid_tol, f"bracket end {hi:g} is below the root of type {v:g}"
+        return hi, f_hi
     if f_lo == 0.0:
-        return "ok", lo, 0.0
+        return lo, 0.0
     if f_hi == 0.0:
-        return "ok", hi, 0.0
+        return hi, 0.0
 
     a, fa, c = lo, f_lo, hi
     mid, f_mid = a, fa
@@ -77,46 +75,41 @@ def _reference_root(scenario, u, v, lo, hi, target):
         f_mid = gap(mid)
         width_ok = (c - a) <= tol * max(1.0, abs(mid))
         if width_ok and (np.isfinite(f_mid) and abs(f_mid) <= resid_tol):
-            return "ok", mid, abs(f_mid)
+            return mid, abs(f_mid)
         if width_ok and not np.isfinite(f_mid):
-            return "ok", a, abs(fa)
+            return a, abs(fa)
         if f_mid > 0.0:
             a, fa = mid, f_mid
         else:
             c = mid
-    return "ok", mid, abs(f_mid) if np.isfinite(f_mid) else abs(fa)
+    return mid, abs(f_mid) if np.isfinite(f_mid) else abs(fa)
+
+
+def reference_bracket(scenario):
+    """A bid bracket padded around the value support by the largest
+    outside option, the mean noise offset and 1.5 noise-support spans."""
+    lo, hi = scenario.values.support
+    probe = np.linspace(lo, hi, 257)
+    s_abs = float(np.max(np.abs(np.asarray(scenario.outside.value(probe)))))
+    wp = scenario.win_payoff
+    offsets, weights = wp.offsets()
+    span = wp.scale * np.ptp(wp.noise.support) if isinstance(wp, NoisyWin) else 0.0
+    pad = s_abs + abs(float(np.dot(weights, offsets))) + 1.5 * span + 1e-9 * max(1.0, hi - lo)
+    return lo - pad, hi + pad
 
 
 def reference_solve_spa(scenario):
-    """(bids, residuals) by scalar bisection, one type at a time; raises
-    ``BracketError`` with the solver's message."""
+    """(bids, residuals, targets) by scalar bisection in the bid, one type
+    at a time, each inside ``reference_bracket``."""
     u = scenario.effective_utility()
     grid = scenario.report_grid()
-    s_grid = np.broadcast_to(np.asarray(scenario.outside.value(grid), dtype=float),
-                             grid.shape)
-    lo0, hi0 = scenario.bracket if scenario.bracket is not None else scenario.default_bracket()
+    targets = u.value(np.asarray(scenario.outside.value(grid), dtype=float))
+    lo, hi = reference_bracket(scenario)
     bids = np.empty_like(grid)
     residuals = np.empty_like(grid)
     for i, v in enumerate(grid):
-        target = float(u.value(s_grid[i]))
-        lo, hi = lo0, hi0
-        for attempt in range(_MAX_WIDEN + 1):
-            status, bid, resid = _reference_root(scenario, u, v, lo, hi, target)
-            if status == "ok":
-                break
-            if attempt == _MAX_WIDEN:
-                raise BracketError(
-                    f"could not bracket the indifference root for type {v:g} "
-                    f"after widening to [{lo:g}, {hi:g}]"
-                )
-            width = hi - lo
-            if status == "lo":
-                lo -= width
-            else:
-                hi += width
-        bids[i] = bid
-        residuals[i] = resid
-    return bids, residuals
+        bids[i], residuals[i] = _reference_root(scenario, u, v, lo, hi, targets[i])
+    return bids, residuals, targets
 
 
 def reference_noise_mean(u, v, b, offsets, weights):
@@ -130,12 +123,16 @@ def reference_noise_mean(u, v, b, offsets, weights):
 
 
 def assert_matches_reference(scenario, sol):
-    bids, residuals = reference_solve_spa(scenario)
-    np.testing.assert_array_equal(sol.bids, bids)
-    # atoms are summed as one matrix-vector product instead of one dot
-    # product per type, so residuals may differ in the last bits of a sum
-    # of up to 64 terms of order 1
-    np.testing.assert_allclose(sol.residuals, residuals, rtol=0.0, atol=1e-14)
+    # the solver bisects in x = v - b, not in b, so the two roots agree to
+    # the stopping tolerance rather than bit for bit
+    bids, residuals, targets = reference_solve_spa(scenario)
+    tol = scenario.root_tol
+    assert np.all(np.abs(sol.bids - bids) <= 2 * tol * np.maximum(1.0, np.abs(bids)))
+    # where the reference found exact indifference (no domain-edge pin),
+    # the solver's residual at its own bid is within tolerance too
+    resid_tol = tol * (1.0 + np.abs(targets))
+    inner = residuals <= resid_tol
+    assert np.all(sol.residuals[inner] <= resid_tol[inner])
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +148,6 @@ def test_scenario_validation():
         SPAScenario(values=UNIT3, units=3)  # needs units <= bidders - 1
     with pytest.raises(ConfigError):
         SPAScenario(values=UNIT3, grid=16)
-    with pytest.raises(ConfigError):
-        SPAScenario(values=UNIT3, bracket=(1.0, 0.5))
-
-
-def test_default_bracket_covers_noise():
-    scn = SPAScenario(values=UNIT3, win_payoff=NoisyWin(TWO_POINT, scale=0.3))
-    lo, hi = scn.default_bracket()
-    assert lo < -0.4 and hi > 1.4  # pad at least 1.5x the noise span around support
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +226,42 @@ def test_pivotal_expectation_array_evaluates_inner_once():
 # ---------------------------------------------------------------------------
 
 def test_vickrey_families(vickrey_solutions):
+    # a deterministic win solves M(x) = u(x) = u(0) on the bracket [0, 0]
     for name, (scn, sol) in vickrey_solutions.items():
-        dev = np.max(np.abs(sol.bids - sol.grid))
-        assert dev < scn.root_tol, (name, dev)
+        assert np.array_equal(sol.bids, sol.grid), name
         assert sol.monotone
 
 
 def test_affine_outside_shifts_bids():
     # keeping 90% of the value when losing leaves only 10% worth bidding for
-    sol = solve_spa(SPAScenario(values=UNIT3, outside=AffineOutside(0.0, 0.9)))
+    scn = SPAScenario(values=UNIT3, outside=AffineOutside(0.0, 0.9))
+    sol = solve_spa(scn)
     ts = np.linspace(0.05, 1.0, 30)
     np.testing.assert_allclose(sol.bid_at(ts), 0.1 * ts, atol=1e-9)
+    # one root per type, as many levels as types: still the reference's bids
+    assert_matches_reference(scn, sol)
 
 
 # ---------------------------------------------------------------------------
 # precautionary shading under noise
 # ---------------------------------------------------------------------------
 
-def test_cara_two_point_shading_closed_form():
-    scn = SPAScenario(values=UNIT3, utility=CARAUtility(2.0),
-                      win_payoff=NoisyWin(TWO_POINT, scale=0.2))
+@pytest.mark.parametrize("s0, shift", [(0.0, 0.0), (0.2, 0.5)], ids=["s0", "s02_shift05"])
+@pytest.mark.parametrize(
+    "win_payoff",
+    [NoisyWin(TWO_POINT, scale=0.2), NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.2)],
+    ids=["two_point", "tnorm64"],
+)
+def test_cara_shading_closed_form(win_payoff, s0, shift):
+    # under CARA the surplus x = v - b solving E[u(x + o)] = u(s0) is
+    # s0 plus the noise's risk premium, Pratt's certainty equivalent
+    alpha = 2.0
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(alpha, shift=shift),
+                      outside=ConstantOutside(s0), win_payoff=win_payoff)
     sol = solve_spa(scn)
-    shade = math.log(math.cosh(0.4)) / 2.0
-    ts = np.linspace(0.1, 1.0, 30)
-    np.testing.assert_allclose(ts - sol.bid_at(ts), shade, atol=1e-9)
+    offsets, weights = win_payoff.offsets()
+    shade = s0 + math.log(np.dot(weights, np.exp(-alpha * offsets))) / alpha
+    np.testing.assert_allclose(sol.grid - sol.bids, shade, rtol=0.0, atol=1e-9)
 
 
 def test_concave_utility_shades_below_value():
@@ -281,47 +282,14 @@ def test_risk_neutral_noise_is_truthful():
 
 
 # ---------------------------------------------------------------------------
-# bracketing behavior
+# bisection behavior
 # ---------------------------------------------------------------------------
 
-def test_bracket_widening_rescues_offset_bracket():
-    sol = solve_spa(SPAScenario(values=UNIT3, bracket=(0.8, 1.1)))
-    assert np.max(np.abs(sol.bids - sol.grid)) < 1e-9
-
-
-def test_bracket_far_from_root_fails():
-    with pytest.raises(BracketError):
-        solve_spa(SPAScenario(values=UNIT3, bracket=(100.0, 100.1)))
-
-
-def test_mixed_widening_matches_reference():
-    # bids run from about -0.04 to 0.96: low types widen the lower end,
-    # high types the upper end, and the middle types need no widening
-    scn = SPAScenario(values=UNIT3, utility=CARAUtility(2.0),
-                      win_payoff=NoisyWin(TWO_POINT, scale=0.2),
-                      bracket=(0.3, 0.6), grid=65)
-    sol = solve_spa(scn)
-    assert np.any(sol.bids < 0.3) and np.any(sol.bids > 0.6)
-    assert np.any((sol.bids > 0.3) & (sol.bids < 0.6))
-    assert_matches_reference(scn, sol)
-
-
-def test_bracket_error_names_first_unbracketed_type():
-    # four widenings of [0, 0.01] reach [0, 0.16]: truthful types up to
-    # 0.16 are solved, the first grid type above it cannot be bracketed
-    scn = SPAScenario(values=UNIT3, bracket=(0.0, 0.01), grid=64)
-    with pytest.raises(BracketError) as new:
-        solve_spa(scn)
-    with pytest.raises(BracketError) as ref:
-        reference_solve_spa(scn)
-    assert str(new.value) == str(ref.value)
-    first = scn.report_grid()[11]
-    assert f"type {first:g} after widening to [0, 0.16]" in str(new.value)
-
-
 def test_one_warning_per_solve_at_bisection_cap():
-    # no bracket narrows to 1e-300, so every type runs into _MAX_BISECT
-    scn = SPAScenario(values=UNIT3, grid=64, root_tol=1e-300)
+    # no bracket around a noisy root narrows to 1e-300, so the one level,
+    # and with it every type, runs into _MAX_BISECT
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(2.0),
+                      win_payoff=NoisyWin(TWO_POINT, scale=0.2), grid=64, root_tol=1e-300)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sol = solve_spa(scn)
@@ -331,13 +299,15 @@ def test_one_warning_per_solve_at_bisection_cap():
     assert "at 64 of 64 types" in msg and "first at type 0)" in msg
     assert f"worst {sol.residuals.max():.3e}" in msg
     assert hits[0].filename == __file__  # attributed to the caller
-    assert_matches_reference(scn, sol)
 
 
 def test_bids_match_scalar_reference(spa_solutions):
-    for scn, base, bent in spa_solutions.values():
+    for name, (scn, base, bent) in spa_solutions.items():
         assert_matches_reference(replace(scn, transform=None), base)
         assert_matches_reference(scn, bent)
+        # a constant outside option is one level: every type shades alike
+        for sol in (base, bent):
+            assert np.ptp(sol.grid - sol.bids) <= 1e-15, name
 
 
 def test_domain_edge_pins_bid():
@@ -349,8 +319,19 @@ def test_domain_edge_pins_bid():
         warnings.simplefilter("ignore")
         sol = solve_spa(scn)
     np.testing.assert_allclose(sol.bids, sol.grid - 0.3, atol=1e-6)
+    assert np.all(np.isfinite(sol.residuals))
     assert sol.residuals.max() > 0.1  # no exact indifference exists here
     assert sol.monotone
+
+    # an outside level on the domain edge pins x at exactly s - min o = 0;
+    # for some types v + o - b then rounds below the edge in the residual
+    # pass, and those report the gap at the pin, sqrt(0.6), instead of inf
+    scn = SPAScenario(values=UNIT3, utility=CRRAUtility(0.5, shift=0.3),
+                      outside=ConstantOutside(-0.3), win_payoff=NoisyWin(TWO_POINT, scale=0.3))
+    sol = solve_spa(scn)
+    assert np.any(np.isneginf(pivotal_expectation(scn, sol.grid, sol.bids)))
+    np.testing.assert_array_equal(sol.bids, sol.grid)
+    np.testing.assert_allclose(sol.residuals, math.sqrt(0.6), rtol=0.0, atol=1e-7)
 
 
 def test_residuals_small_on_regular_problems():
@@ -495,28 +476,26 @@ def test_slabbed_solve_matches_scalar_reference():
 
 
 @pytest.mark.parametrize(
-    "transform, atol",
+    "transform",
     [
-        (CRRAUtility(0.5, shift=2.0), 0.0),
-        (CARAUtility(1.5), 0.0),
-        # some types leave the domain in a bisection step: the whole-tensor
-        # form dropped those rows before the matrix-vector product, a slab
-        # keeps them, so a few finite rows are rounded at another position
-        (CRRAUtility(0.5, shift=0.3), 4 * np.finfo(float).eps),
+        CRRAUtility(0.5, shift=2.0),
+        CARAUtility(1.5),
+        # the level is pinned at the domain edge; the solved bids keep every
+        # row of the residual pass inside the domain
+        CRRAUtility(0.5, shift=0.3),
     ],
     ids=["crra", "cara", "crra_domain_edge"],
 )
-def test_slabbed_solve_matches_whole_tensor_solve(monkeypatch, transform, atol):
-    # against the same bisection with the expectation taken over each
-    # step's whole (types x atoms) tensor: bids bit for bit, residuals too
-    # unless a step left the domain
+def test_slabbed_solve_matches_whole_tensor_solve(monkeypatch, transform):
+    # against the same solve with the expectation taken over the whole
+    # (types x atoms) tensor: bids and residuals bit for bit
     scn = SPAScenario(values=UNIT3, transform=transform, win_payoff=TNORM64, grid=1025)
     sol = solve_spa(scn)
     with monkeypatch.context() as m:
         m.setattr(spa, "_noise_mean", reference_noise_mean)
         whole = solve_spa(scn)
     assert sol.bids.tobytes() == whole.bids.tobytes()
-    np.testing.assert_allclose(sol.residuals, whole.residuals, rtol=0.0, atol=atol)
+    assert sol.residuals.tobytes() == whole.residuals.tobytes()
 
 
 def test_slabbed_pivotal_expectation_within_4_ulp():
