@@ -69,22 +69,14 @@ def _write_json(path, obj):
     _write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _num(x):
-    return f"{float(x):.17g}"
+SOLUTION_HEADER = "v,beta,foc_residual"
+COMPARISON_HEADER = "v,beta,beta_hat,d"
 
 
-def _solution_csv(solution):
-    lines = ["v,beta,foc_residual"]
-    for v, b, r in zip(solution.grid, solution.bids, solution.residuals):
-        lines.append(f"{_num(v)},{_num(b)},{_num(r)}")
-    return "\n".join(lines) + "\n"
-
-
-def _comparison_csv(report):
-    lines = ["v,beta,beta_hat,d"]
-    for v, b, bh, d in zip(report.grid, report.beta, report.beta_hat, report.d):
-        lines.append(f"{_num(v)},{_num(b)},{_num(bh)},{_num(d)}")
-    return "\n".join(lines) + "\n"
+def _write_table(path, header, *columns):
+    """Write the columns as a CSV table, each number to 17 significant digits."""
+    rows = (",".join(f"{float(x):.17g}" for x in row) for row in zip(*columns))
+    _write_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def read_solution_csv(path):
@@ -92,9 +84,9 @@ def read_solution_csv(path):
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != "v,beta,foc_residual":
+            if header != SOLUTION_HEADER:
                 raise ConfigError(
-                    f"{path}: expected header 'v,beta,foc_residual', got {header!r}"
+                    f"{path}: expected header {SOLUTION_HEADER!r}, got {header!r}"
                 )
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
@@ -122,7 +114,8 @@ def _load_solution(fmt, scenario, out_dir):
 def cmd_solve(args):
     fmt, scenario, canonical = build_scenario(load_config(args.config))
     solution = _SOLVERS[fmt](scenario)
-    _write_atomic(os.path.join(args.out, "solution.csv"), _solution_csv(solution))
+    path = os.path.join(args.out, "solution.csv")
+    _write_table(path, SOLUTION_HEADER, solution.grid, solution.bids, solution.residuals)
     meta = {
         "config": canonical,
         "diagnostics": {
@@ -143,30 +136,25 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    fmt, scenario, canonical = build_scenario(load_config(args.config))
+    fmt, scenario, _ = build_scenario(load_config(args.config))
     if scenario.transform is None:
         raise ConfigError("comparison needs a 'transform' in the config")
-    compare = compare_risk_aversion_fpa if fmt == "fpa" else compare_risk_aversion_spa
-    holds, detail = True, ""
+    compare = {"fpa": compare_risk_aversion_fpa}.get(fmt, compare_risk_aversion_spa)
+    detail = None
     try:
         report = compare(scenario)
     except OrderingViolation as exc:
         if exc.report is None:
             raise
-        report, holds, detail = exc.report, False, str(exc)
-    _write_atomic(os.path.join(args.out, "comparison.csv"), _comparison_csv(report))
-    verdict = {"ordering_holds": holds}
-    if fmt == "fpa":
-        verdict["min_d"] = report.min_d
-        verdict["tolerance"] = 10.0 * canonical["tolerances"]["ode_tol"]
-    else:
-        verdict["max_d"] = report.max_d
-        verdict["tolerance"] = 10.0 * canonical["tolerances"]["root_tol"]
-    if not holds:
+        report, detail = exc.report, str(exc)
+    path = os.path.join(args.out, "comparison.csv")
+    _write_table(path, COMPARISON_HEADER, report.grid, report.beta, report.beta_hat, report.d)
+    extent = getattr(report, report.extremum)
+    verdict = {"ordering_holds": detail is None, report.extremum: extent, "tolerance": report.tolerance}
+    if detail is not None:
         verdict["detail"] = detail
     _write_json(os.path.join(args.out, "verdict.json"), verdict)
-    if holds:
-        extent = verdict.get("min_d", verdict.get("max_d"))
+    if detail is None:
         print(f"ordering holds for {fmt}: extremal d = {extent:.3e}")
         return EXIT_OK
     print(f"ordering violated: {detail}", file=sys.stderr)
@@ -177,53 +165,53 @@ def _int_list(arr):
     return [int(i) for i in np.asarray(arr).tolist()]
 
 
+def _witness(verdict):
+    return None if verdict.witness is None else _int_list(verdict.witness)
+
+
+def _section(build, *args):
+    """(build(*args), None); an error section and the exception instead
+    when that format's comparison is degenerate."""
+    try:
+        return build(*args), None
+    except (DominancePrecondition, IdenticalActions) as exc:
+        return {"error": type(exc).__name__, "detail": str(exc)}, exc
+
+
+def _fpa_section(bid_a, bid_b, states):
+    rep = fpa_higher_bid_safer(bid_a, bid_b, states)
+    return {
+        "higher_bid_safer": bool(rep.verdict.safer),
+        "winning_cannot_hurt": bool(rep.winning_cannot_hurt),
+        "low_bids_better_winners": bool(rep.low_bids_better_winners),
+        "witness": _witness(rep.verdict),
+        "payoff_partition": {
+            "a_better": _int_list(rep.partition.a_better),
+            "b_better": _int_list(rep.partition.b_better),
+            "equal": _int_list(rep.partition.equal),
+        },
+    }
+
+
+def _spa_section(bid_a, bid_b, states):
+    rep = spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=False)
+    return {
+        "lower_bid_safer": bool(rep.verdict.safer),
+        "outside_constant": bool(rep.outside_constant),
+        "witness": _witness(rep.verdict),
+    }
+
+
 def cmd_safety(args):
     states, bid_a, bid_b = problem_from_dict(load_config(args.config))
 
     # one format can be degenerate (e.g. the higher bid dominates in
     # second price whenever winning is always a gain) while the other
     # still has a meaningful verdict; fail only when both collapse
-    fpa_out = spa_out = None
-    fpa_exc = spa_exc = None
-    try:
-        rep = fpa_higher_bid_safer(bid_a, bid_b, states)
-        fpa_out = {
-            "higher_bid_safer": bool(rep.verdict.safer),
-            "winning_cannot_hurt": bool(rep.winning_cannot_hurt),
-            "low_bids_better_winners": bool(rep.low_bids_better_winners),
-            "witness": None
-            if rep.verdict.witness is None
-            else _int_list(rep.verdict.witness),
-            "payoff_partition": {
-                "a_better": _int_list(rep.partition.a_better),
-                "b_better": _int_list(rep.partition.b_better),
-                "equal": _int_list(rep.partition.equal),
-            },
-        }
-    except (DominancePrecondition, IdenticalActions) as exc:
-        fpa_exc = exc
-        fpa_out = {"error": type(exc).__name__, "detail": str(exc)}
-    try:
-        rep = spa_lower_bid_safer(
-            bid_a, bid_b, states, require_constant_outside=False
-        )
-        spa_out = {
-            "lower_bid_safer": bool(rep.verdict.safer),
-            "outside_constant": bool(rep.outside_constant),
-            "witness": None
-            if rep.verdict.witness is None
-            else _int_list(rep.verdict.witness),
-        }
-    except (DominancePrecondition, IdenticalActions) as exc:
-        spa_exc = exc
-        spa_out = {"error": type(exc).__name__, "detail": str(exc)}
-
+    fpa_out, fpa_exc = _section(_fpa_section, bid_a, bid_b, states)
+    spa_out, spa_exc = _section(_spa_section, bid_a, bid_b, states)
     if fpa_exc is not None and spa_exc is not None:
-        print(
-            json.dumps(
-                {"error": type(fpa_exc).__name__, "detail": str(fpa_exc)}, indent=2
-            )
-        )
+        print(json.dumps(fpa_out, indent=2))
         print(f"dominance precondition failed: {fpa_exc}", file=sys.stderr)
         return EXIT_DOMINANCE
 

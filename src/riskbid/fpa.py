@@ -501,12 +501,15 @@ def solve_fpa(scenario):
 
 @dataclass
 class ComparisonReport:
-    """Bid functions before and after a concave bend of the utility."""
+    """Bid functions before and after a concave bend of the utility, with
+    the extremum of d the ordering was judged on and its tolerance."""
 
     grid: np.ndarray
     beta: np.ndarray
     beta_hat: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    extremum: Optional[str] = None
+    tolerance: Optional[float] = None
 
     @property
     def d(self):
@@ -551,8 +554,10 @@ def compare_risk_aversion_fpa(scenario):
             "tradeoff_bent": m_bent,
             "tradeoff_gap": m_bent - m_base,
         },
+        extremum="min_d",
+        tolerance=10.0 * scenario.ode_tol,
     )
-    if report.min_d < -10.0 * scenario.ode_tol:
+    if report.min_d < -report.tolerance:
         raise OrderingViolation(
             f"transformed bids fall {-report.min_d:.3e} below the baseline",
             report=report,

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import finite_number
+from .config import _check_keys, finite_number
 from .errors import (
     BidOrderError,
     ConfigError,
@@ -474,31 +474,18 @@ def spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=True):
 # ---------------------------------------------------------------------------
 # problem (de)serialization
 
+_PROBLEM_KEYS = {"states", "bid_a", "bid_b"}
 _STATE_KEYS = {"gamma", "value", "outside", "tie_high", "tie_low"}
 
 
 def problem_from_dict(doc):
     """Parse {"states": [...], "bid_a": .., "bid_b": ..} into components."""
-    if not isinstance(doc, dict):
-        raise ConfigError("problem document must be a JSON object")
-    unknown = set(doc) - {"states", "bid_a", "bid_b"}
-    if unknown:
-        raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
-    for key in ("states", "bid_a", "bid_b"):
-        if key not in doc:
-            raise ConfigError(f"problem is missing {key!r}")
+    _check_keys(doc, _PROBLEM_KEYS, _PROBLEM_KEYS, "problem")
     states = []
     if not isinstance(doc["states"], list) or not doc["states"]:
         raise ConfigError("'states' must be a nonempty list")
     for k, raw in enumerate(doc["states"]):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"state {k} must be an object")
-        unknown = set(raw) - _STATE_KEYS
-        if unknown:
-            raise ConfigError(f"state {k} has unknown keys: {sorted(unknown)}")
-        for key in ("gamma", "value", "outside"):
-            if key not in raw:
-                raise ConfigError(f"state {k} is missing {key!r}")
+        _check_keys(raw, _STATE_KEYS, {"gamma", "value", "outside"}, f"state {k}")
         for key in ("tie_high", "tie_low"):
             if not isinstance(raw.get(key, False), bool):
                 raise ConfigError(f"state {k}.{key} must be a boolean, got {raw[key]!r}")

@@ -66,17 +66,11 @@ class SPAScenario:
     def __post_init__(self):
         if not isinstance(self.units, (int, np.integer)) or self.units < 1:
             raise ConfigError(f"units must be a positive integer, got {self.units}")
-        if self.units >= 2:
-            n = self.values.n
-            if n < 3:
-                raise ConfigError(
-                    f"selling {self.units} units needs at least 3 bidders, got {n}"
-                )
-            if self.units > n - 1:
-                raise ConfigError(
-                    f"cannot sell {self.units} units to {n} bidders at the "
-                    "highest losing bid; need units <= bidders - 1"
-                )
+        if self.units > self.values.n - 1:
+            raise ConfigError(
+                f"cannot sell {self.units} units to {self.values.n} bidders at the "
+                "highest losing bid; need units <= bidders - 1"
+            )
         if not isinstance(self.grid, (int, np.integer)) or self.grid < 64:
             raise ConfigError(f"grid must be an integer >= 64, got {self.grid}")
         if not self.root_tol > 0:
@@ -129,21 +123,17 @@ def _noise_mean_slab(u, v, b, offsets, weights):
 def pivotal_expectation(scenario, v, b, utility=None):
     """Expected utility of winning at price b, conditional on being pivotal.
 
-    Averages u(W - b) over the win-payoff noise at type v.  A scalar v
-    raises ``DomainError`` when W - b leaves the domain.  An array v gives
-    one value per type from ``masked_value`` passes over the (types x
-    noise atoms) surplus: ``-inf`` for a type with any noise atom outside
-    the domain (even at weight 0), as that bid is certainly too high.  The
-    surplus is evaluated in fixed slabs of types, so a call on a fine grid
-    with many atoms reuses a few cache-sized buffers instead of mapping
-    (and page-faulting) a fresh multi-megabyte tensor per temporary.
+    Averages u(W - b) over the win-payoff noise at type v, one value per
+    entry of v and b broadcast together (a float when both are scalars),
+    from ``masked_value`` passes over the (types x noise atoms) surplus:
+    ``-inf`` for a type with any noise atom outside the domain (even at
+    weight 0), as that bid is certainly too high.  The surplus is
+    evaluated in fixed slabs of types, so a call on a fine grid with many
+    atoms reuses a few cache-sized buffers instead of mapping (and
+    page-faulting) a fresh multi-megabyte tensor per temporary.
     """
     u = scenario.effective_utility() if utility is None else utility
-    offsets, weights = scenario.win_payoff.offsets()
-    if not isinstance(v, np.ndarray):
-        out = u.value(v + offsets - b) @ weights
-        return out if out.ndim else float(out)
-    out = _noise_mean(u, v, b, offsets, weights)
+    out = _noise_mean(u, v, b, *scenario.win_payoff.offsets())
     return out if out.ndim else float(out)
 
 
@@ -247,14 +237,15 @@ def compare_risk_aversion_spa(scenario):
         beta=base.bids,
         beta_hat=bent.bids,
         diagnostics={"pivotal_slack": slack},
+        extremum="max_d",
+        tolerance=10.0 * scenario.root_tol,
     )
-    tol = 10.0 * scenario.root_tol
-    if report.max_d > tol:
+    if report.max_d > report.tolerance:
         raise OrderingViolation(
             f"transformed bids rise {report.max_d:.3e} above the baseline",
             report=report,
         )
-    if np.min(slack) < -tol:
+    if np.min(slack) < -report.tolerance:
         raise OrderingViolation(
             f"transformed utility strictly prefers winning at the baseline bid "
             f"for some type (slack {np.min(slack):.3e})",

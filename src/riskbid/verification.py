@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import FORMATS
 from .errors import ConfigError
-from .spa import _noise_mean
+from .fpa import FPAScenario
+from .spa import SPAScenario, pivotal_expectation
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 #: audit gains at most this many relative ulps of the truthful utility
@@ -24,11 +25,15 @@ _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 
 
-def _normalize_format(fmt):
-    name = str(fmt).lower()
-    if name not in FORMATS:
+def _check_format(fmt, scenario):
+    """``ConfigError`` unless fmt is one of ``FORMATS`` and fits the scenario."""
+    if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    return name
+    kind = FPAScenario if fmt == "fpa" else SPAScenario
+    if not isinstance(scenario, kind):
+        raise ConfigError(
+            f"format {fmt!r} needs an {kind.__name__}, got {type(scenario).__name__}"
+        )
 
 
 def fpa_report_utility(scenario, solution, v, t):
@@ -69,7 +74,6 @@ def spa_report_utility(scenario, solution, v, t):
     vm = scenario.values
     units = scenario.units
     lo, hi = vm.support
-    offsets, wts = scenario.win_payoff.offsets()
     u_s = float(u.value(scenario.outside.value(v)))
 
     t = np.clip(np.asarray(t, dtype=float), lo, hi)
@@ -81,7 +85,7 @@ def spa_report_utility(scenario, solution, v, t):
     node_w = half[:, None] * _GL8_WEIGHTS[None, :]
 
     bids = np.asarray(solution.bid_at(nodes), dtype=float)
-    m = _noise_mean(u, v, bids, offsets, wts)
+    m = pivotal_expectation(scenario, v, bids, utility=u)
     dens = np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float)
     with np.errstate(invalid="ignore"):
         g = m * dens
@@ -135,9 +139,10 @@ def best_response_audit(
     audit passes when no type gains more than ``audit_tol`` and every
     argmax lies within one deviation-grid cell of the truthful report.
     First-price audits additionally probe bids above the top of the
-    solved schedule, which win with certainty.
+    solved schedule, which win with certainty.  ``fmt`` must name the
+    scenario's own format, else ``ConfigError``.
     """
-    fmt = _normalize_format(fmt)
+    _check_format(fmt, scenario)
     lo, hi = scenario.values.support
     types = np.linspace(lo, hi, int(type_grid_size))
     base_ts = np.linspace(lo, hi, int(deviation_grid_size))
@@ -250,11 +255,13 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
     """Replay the auction on sampled profiles; accumulate revenue stats.
 
     All bidders follow the solved schedule; ties are broken uniformly at
-    random.  Reproducible for a given seed and ``chunk_size``, the
+    random.  The scenario's ``units`` go to the highest bids (first price
+    sells one), and ``fmt`` must name the scenario's own format, else
+    ``ConfigError``.  Reproducible for a given seed and ``chunk_size``, the
     number of rounds drawn at a time.  ``rounds`` and ``seed`` must be
     integers >= 0 and ``chunk_size`` one >= 1, else ``ConfigError``.
     """
-    fmt = _normalize_format(fmt)
+    _check_format(fmt, scenario)
     rounds = _count("rounds", rounds, 0)
     seed = _count("seed", seed, 0)
     chunk_size = _count("chunk_size", chunk_size, 1)
@@ -264,7 +271,7 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
     u = scenario.effective_utility()
     vm = scenario.values
     n = vm.n
-    units = scenario.units if fmt == "uniform" else 1
+    units = 1 if fmt == "fpa" else scenario.units
     win_payoff = getattr(scenario, "win_payoff", None)
     rng = np.random.default_rng(seed)
 

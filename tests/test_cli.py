@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from riskbid import cli
 from riskbid.cli import main, read_solution_csv
 from riskbid.config import build_scenario
+from riskbid.errors import OrderingViolation
 
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
 
@@ -245,6 +247,35 @@ def test_compare_spa(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["ordering_holds"] is True
     assert verdict["max_d"] <= verdict["tolerance"]
+
+
+@pytest.mark.parametrize("doc, compare, extremum, tol_key", [
+    (FPA_CFG, "compare_risk_aversion_fpa", "min_d", "ode_tol"),
+    (SPA_CFG, "compare_risk_aversion_spa", "max_d", "root_tol"),
+])
+def test_compare_violation_exits_4(tmp_path, capsys, monkeypatch, doc, compare, extremum,
+                                   tol_key):
+    real = getattr(cli, compare)
+
+    def violated(scenario):
+        raise OrderingViolation("forced violation", report=real(scenario))
+
+    monkeypatch.setattr(cli, compare, violated)
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", "ordering violated: forced violation\n")
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert lines[0] == "v,beta,beta_hat,d" and len(lines) == doc["grid"] + 1
+    _, scenario, canonical = build_scenario(doc)
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict == {
+        "ordering_holds": False,
+        extremum: getattr(real(scenario), extremum),
+        "tolerance": 10.0 * canonical["tolerances"][tol_key],
+        "detail": "forced violation",
+    }
+    assert list(verdict) == ["ordering_holds", extremum, "tolerance", "detail"]
 
 
 def test_compare_requires_transform(tmp_path):

@@ -503,7 +503,8 @@ def test_compare_needs_transform():
 def test_compare_bends_bids_up():
     scn = FPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=1.0), grid=129)
     rep = compare_risk_aversion_fpa(scn)
-    assert rep.min_d >= -10 * scn.ode_tol
+    assert (rep.extremum, rep.tolerance) == ("min_d", 10 * scn.ode_tol)
+    assert rep.min_d >= -rep.tolerance
     assert rep.max_d > 1e-3               # strictly more aggressive somewhere
     assert rep.grid.shape == rep.beta.shape == rep.beta_hat.shape
     assert "tradeoff_gap" in rep.diagnostics

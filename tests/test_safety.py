@@ -14,6 +14,7 @@ from riskbid import (
     CARAUtility,
     CRRAUtility,
     BidOrderError,
+    ConfigError,
     Dominance,
     DominancePrecondition,
     FiniteDecisionProblem,
@@ -582,8 +583,40 @@ def test_problem_dict_round_trip():
         assert s1.outside == s2.outside
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize("path, val, match", [
+    (("bid_b",), _DROP, "^missing keys in problem: bid_b$"),
+    (("states",), [], "^'states' must be a nonempty list$"),
+    (("states", 1), [0.6, 1.3, 0.2], "^state 1 must be a JSON object, got list$"),
+    (("states", 1, "tie"), True, "^unknown keys in state 1: tie$"),
+    (("states", 1, "outside"), _DROP, "^missing keys in state 1: outside$"),
+    (("states", 1, "tie_low"), 1, "^state 1.tie_low must be a boolean, got 1$"),
+    (("states", 1, "gamma"), "0.6", "^state 1.gamma must be a finite number"),
+])
+def test_problem_from_dict_rejects_malformed_documents(path, val, match):
+    doc = problem_to_dict(_mk_states(), 0.8, 0.4)
+    *outer, key = path
+    node = doc
+    for k in outer:
+        node = node[k]
+    if val is _DROP:
+        del node[key]
+    else:
+        node[key] = val
+    with pytest.raises(ConfigError, match=match):
+        problem_from_dict(doc)
+
+
 def test_problem_from_dict_rejects_unknown_keys():
     doc = problem_to_dict(_mk_states(), 0.8, 0.4)
     doc["extra"] = 1
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="^unknown keys in problem: extra$"):
+        problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[], "states", None, 1.0])
+def test_problem_from_dict_rejects_a_non_object(doc):
+    with pytest.raises(ConfigError, match="^problem must be a JSON object"):
         problem_from_dict(doc)

@@ -15,7 +15,6 @@ from riskbid import (
     ConstantOutside,
     CRRAUtility,
     DiscreteNoise,
-    DomainError,
     LinearUtility,
     NoisyWin,
     SolverWarning,
@@ -50,10 +49,7 @@ def _reference_root(scenario, u, v, lo, hi, target):
     resid_tol = tol * (1.0 + abs(target))
 
     def gap(b):
-        try:
-            return pivotal_expectation(scenario, v, b, utility=u) - target
-        except DomainError:
-            return -np.inf
+        return pivotal_expectation(scenario, v, b, utility=u) - target
 
     f_lo = gap(lo)
     if f_lo < 0.0:
@@ -388,7 +384,8 @@ def test_compare_lowers_bids_under_noise():
     scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0),
                       win_payoff=NoisyWin(TWO_POINT, scale=0.2))
     rep = compare_risk_aversion_spa(scn)
-    assert rep.max_d <= 10 * scn.root_tol
+    assert (rep.extremum, rep.tolerance) == ("max_d", 10 * scn.root_tol)
+    assert rep.max_d <= rep.tolerance
     assert rep.min_d < -1e-3             # strictly lower somewhere
     assert np.all(rep.diagnostics["pivotal_slack"] >= -10 * scn.root_tol)
 
@@ -442,9 +439,28 @@ def test_pivotal_expectation_array_matches_scalar():
     arr = pivotal_expectation(scn, vs, bs)
     assert arr.shape == vs.shape
     for v, b, x in zip(vs, bs, arr):
-        # the array form sums atoms as a matrix-vector product, so it may
-        # differ from the scalar dot product in the last bit
+        # a many-type array sums atoms as a matrix-vector product, so it
+        # may differ from the one-type sum in the last bit
         assert pivotal_expectation(scn, float(v), float(b)) == pytest.approx(x, rel=1e-14)
+
+
+@pytest.mark.parametrize("noise", [DiscreteNoise([-1.0, 1.0], [0.0, 1.0]),
+                                   TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0)])
+def test_pivotal_expectation_scalar_is_one_element_array(noise):
+    # one rule for every shape: a scalar takes the array path, bit for bit,
+    # and a breach (weight-0 atoms included) is -inf rather than an error
+    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5),
+                      win_payoff=NoisyWin(noise, scale=0.2), grid=65)
+    breached = 0
+    for v in np.linspace(0.0, 1.0, 17):
+        for b in np.linspace(0.0, 1.0, 17):
+            x = pivotal_expectation(scn, float(v), float(b))
+            arr = pivotal_expectation(scn, np.array([v]), np.array([b]))
+            assert type(x) is float and arr.shape == (1,)
+            assert x == arr[0]
+            assert x == -np.inf or np.isfinite(x)
+            breached += x == -np.inf
+    assert 0 < breached < 17 * 17
 
 
 def test_pivotal_expectation_array_is_minus_inf_out_of_domain():
@@ -456,8 +472,7 @@ def test_pivotal_expectation_array_is_minus_inf_out_of_domain():
     arr = pivotal_expectation(scn, vs, np.array([0.0, 0.5, 0.2]))
     assert arr[1] == -np.inf and np.all(np.isfinite(arr[[0, 2]]))
     assert arr[0] == pytest.approx(pivotal_expectation(scn, 0.5, 0.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        pivotal_expectation(scn, 0.5, 0.5)
+    assert pivotal_expectation(scn, 0.5, 0.5) == -np.inf
     assert pivotal_expectation(scn, np.empty(0), np.empty(0)).shape == (0,)
 
 

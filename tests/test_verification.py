@@ -426,6 +426,42 @@ def test_mc_uniform_price_revenue():
     assert stats.efficiency == pytest.approx(1.0)
 
 
+def test_mc_units_come_from_the_scenario():
+    # "spa" on a two-unit scenario sells both units, as the audit and the
+    # solver assume; it replays exactly what "uniform" does
+    scn = SPAScenario(values=ValueModel.iid(UniformDist(0.0, 1.0), 4), units=2)
+    sol = solve_spa(scn)
+    stats = monte_carlo_auction("spa", scn, sol, 50_000, seed=2)
+    assert stats.to_json() | {"format": "uniform"} == (
+        monte_carlo_auction("uniform", scn, sol, 50_000, seed=2).to_json())
+    assert abs(stats.mean_revenue - 0.8) < 3 * stats.se_revenue
+
+
+def _audit(fmt, scn, sol):
+    return best_response_audit(fmt, scn, sol, type_grid_size=5, deviation_grid_size=64)
+
+
+def _replay(fmt, scn, sol):
+    return monte_carlo_auction(fmt, scn, sol, 1000, seed=0)
+
+
+@pytest.mark.parametrize("check", [_audit, _replay])
+@pytest.mark.parametrize("fmt, pair", [("spa", "fpa_pair"), ("uniform", "fpa_pair"),
+                                       ("fpa", "spa_pair")])
+def test_format_must_match_the_scenario(check, fmt, pair, request):
+    scn, sol = request.getfixturevalue(pair)
+    with pytest.raises(ConfigError, match=f"^format '{fmt}' needs an (FPA|SPA)Scenario, got"):
+        check(fmt, scn, sol)
+
+
+@pytest.mark.parametrize("check", [_audit, _replay])
+@pytest.mark.parametrize("fmt", ["FPA", "Fpa", " fpa", "first-price", None])
+def test_format_names_match_exactly(check, fmt, fpa_pair):
+    scn, sol = fpa_pair
+    with pytest.raises(ConfigError, match="^format must be one of"):
+        check(fmt, scn, sol)
+
+
 def test_mc_determinism(fpa_pair):
     scn, sol = fpa_pair
     a = monte_carlo_auction("fpa", scn, sol, 20_000, seed=9)
