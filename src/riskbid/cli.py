@@ -137,8 +137,6 @@ def cmd_solve(args):
 
 def cmd_compare(args):
     fmt, scenario, _ = build_scenario(load_config(args.config))
-    if scenario.transform is None:
-        raise ConfigError("comparison needs a 'transform' in the config")
     compare = {"fpa": compare_risk_aversion_fpa}.get(fmt, compare_risk_aversion_spa)
     detail = None
     try:

@@ -239,60 +239,43 @@ def build_scenario(doc):
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
-    common = {
+    shared = dict(values=values, outside=outside, utility=utility, transform=transform, grid=grid)
+    if fmt == "fpa":
+        boundary = doc.get("boundary_bid")
+        scenario = FPAScenario(
+            **shared,
+            boundary_bid=None if boundary is None else finite_number(boundary, "boundary_bid"),
+            ode_tol=tolerances["ode_tol"],
+        )
+        own = {"boundary_bid": scenario.boundary_bid}
+    else:
+        units = doc.get("K", 1)
+        if not isinstance(units, int) or isinstance(units, bool):
+            raise ConfigError(f"K must be an integer, got {units!r}")
+        if fmt == "spa" and units != 1:
+            raise ConfigError(
+                "second price sells exactly one unit; use format 'uniform' for K >= 2"
+            )
+        win_doc = doc.get("win_payoff", {"form": "deterministic"})
+        win_payoff = _build_tagged(win_doc, "form", _WIN_PAYOFFS, "win_payoff")
+        scenario = SPAScenario(
+            **shared,
+            win_payoff=win_payoff,
+            units=units,
+            root_tol=tolerances["root_tol"],
+        )
+        own = {"win_payoff": win_payoff.to_config(), "K": units}
+
+    canonical = {
+        "format": fmt,
+        "values": values.to_config(),
         "utility": utility.to_config(),
         "transform": None if transform is None else transform.to_config(),
         "outside_option": outside.to_config(),
         "grid": grid,
         "tolerances": tolerances,
         "seed": seed,
-    }
-
-    if fmt == "fpa":
-        scenario = FPAScenario(
-            values=values,
-            outside=outside,
-            utility=utility,
-            transform=transform,
-            boundary_bid=None
-            if doc.get("boundary_bid") is None
-            else finite_number(doc["boundary_bid"], "boundary_bid"),
-            grid=grid,
-            ode_tol=tolerances["ode_tol"],
-        )
-        canonical = {
-            "format": fmt,
-            "values": values.to_config(),
-            **common,
-            "boundary_bid": scenario.boundary_bid,
-        }
-        return fmt, scenario, canonical
-
-    units = doc.get("K", 1)
-    if not isinstance(units, int) or isinstance(units, bool):
-        raise ConfigError(f"K must be an integer, got {units!r}")
-    if fmt == "spa" and units != 1:
-        raise ConfigError(
-            "second price sells exactly one unit; use format 'uniform' for K >= 2"
-        )
-    win_doc = doc.get("win_payoff", {"form": "deterministic"})
-    win_payoff = _build_tagged(win_doc, "form", _WIN_PAYOFFS, "win_payoff")
-    scenario = SPAScenario(
-        values=values,
-        outside=outside,
-        utility=utility,
-        transform=transform,
-        win_payoff=win_payoff,
-        units=units,
-        grid=grid,
-        root_tol=tolerances["root_tol"],
-    )
-    canonical = {
-        "format": fmt,
-        "values": values.to_config(),
-        **common,
-        "win_payoff": win_payoff.to_config(),
-        "K": units,
+        **own,
     }
     return fmt, scenario, canonical
 

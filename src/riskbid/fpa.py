@@ -65,11 +65,18 @@ _BOUNDARY_TOL = 1e-9
 def marginal_tradeoff(utility, x, s_v):
     """(u(x) - u(s)) / u'(x): money value of winning at surplus x.
 
-    Requires strictly positive surplus over the outside option s_v.
+    ``x`` and ``s_v`` may be scalars (returns a float) or arrays that
+    broadcast together (returns an array).  Requires strictly positive
+    surplus over the outside option s_v everywhere; ``NonpositiveSurplus``
+    names the first entry without it.
     """
-    if not x > s_v:
+    xs, ss = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s_v, dtype=float))
+    bad = ~(xs > ss)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise NonpositiveSurplus(
-            f"winning surplus {x:g} does not exceed the outside option {s_v:g}"
+            f"{f'entry {k}: ' if xs.ndim else ''}winning surplus {xs.flat[k]:g} "
+            f"does not exceed the outside option {ss.flat[k]:g}"
         )
     return _tradeoff_raw(utility, x, s_v)
 
@@ -97,26 +104,45 @@ def closed_form_crra_uniform(n, rho):
 
 
 @dataclass
-class FPAScenario:
-    """A first-price environment plus solver knobs.
-
-    ``transform`` composes a concave bend on top of ``utility``; solvers
-    optimize the composed function when it is present.  ``boundary_bid``
-    defaults to zero surplus at the bottom type.
+class _Scenario:
+    """What both formats share: the environment, a utility with an optional
+    concave ``transform`` on top (solvers optimize the composition) and the
+    grid check.  Each subclass declares ``grid`` among its own knobs.
     """
 
     values: ValueModel
     outside: OutsideOption = field(default_factory=ConstantOutside)
     utility: Utility = field(default_factory=LinearUtility)
     transform: Optional[Utility] = None
+
+    def __post_init__(self):
+        if not isinstance(self.grid, (int, np.integer)) or self.grid < 64:
+            raise ConfigError(f"grid must be an integer >= 64, got {self.grid}")
+
+    def effective_utility(self):
+        return effective_utility(self.utility, self.transform)
+
+    def _bent_utility(self):
+        """The effective utility of a comparison, which needs a transform."""
+        if self.transform is None:
+            raise ConfigError("comparison needs a transform on the scenario")
+        return self.effective_utility()
+
+
+@dataclass
+class FPAScenario(_Scenario):
+    """A first-price environment plus solver knobs.
+
+    ``boundary_bid`` defaults to zero surplus at the bottom type.
+    """
+
     boundary_bid: Optional[float] = None
     grid: int = 257
     ode_tol: float = 1e-8
     start_offset: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.grid, (int, np.integer)) or self.grid < 64:
-            raise ConfigError(f"grid must be an integer >= 64, got {self.grid}")
+        super().__post_init__()
         if not self.ode_tol > 0:
             raise ConfigError(f"ode_tol must be > 0, got {self.ode_tol}")
         lo, hi = self.values.support
@@ -153,9 +179,6 @@ class FPAScenario:
 
     def report_grid(self):
         return np.linspace(self.start, self.values.hi, self.grid)
-
-    def effective_utility(self):
-        return effective_utility(self.utility, self.transform)
 
 
 @dataclass
@@ -536,10 +559,8 @@ def compare_risk_aversion_fpa(scenario):
     the transformed bids fall below the baseline beyond 10x the ODE
     tolerance.
     """
-    if scenario.transform is None:
-        raise ConfigError("comparison needs a transform on the scenario")
     u = scenario.utility
-    uh = scenario.effective_utility()
+    uh = scenario._bent_utility()
     base, bent = _solve_joint(scenario, [u, uh])
     grid = base.grid
     s_grid = np.asarray(scenario.outside.value(grid))

@@ -27,15 +27,12 @@ single-unit one.
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, OrderingViolation, SolverWarning
-from .fpa import ComparisonReport, EquilibriumSolution, check_monotone
-from .outcomes import ConstantOutside, DeterministicWin, OutsideOption, WinPayoff
-from .utility import LinearUtility, Utility, effective_utility
-from .values import ValueModel
+from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, check_monotone
+from .outcomes import DeterministicWin, WinPayoff
 
 _MAX_BISECT = 200
 #: float64 elements per slab of a noise expectation's utility tensor.  A
@@ -47,17 +44,13 @@ _SLAB = 1 << 13
 
 
 @dataclass
-class SPAScenario:
+class SPAScenario(_Scenario):
     """A second-price (or uniform-price) environment plus solver knobs.
 
     ``units`` is the number of identical units sold at the highest
     losing bid; one unit is the ordinary second-price auction.
     """
 
-    values: ValueModel
-    outside: OutsideOption = field(default_factory=ConstantOutside)
-    utility: Utility = field(default_factory=LinearUtility)
-    transform: Optional[Utility] = None
     win_payoff: WinPayoff = field(default_factory=DeterministicWin)
     units: int = 1
     grid: int = 257
@@ -71,13 +64,9 @@ class SPAScenario:
                 f"cannot sell {self.units} units to {self.values.n} bidders at the "
                 "highest losing bid; need units <= bidders - 1"
             )
-        if not isinstance(self.grid, (int, np.integer)) or self.grid < 64:
-            raise ConfigError(f"grid must be an integer >= 64, got {self.grid}")
+        super().__post_init__()
         if not self.root_tol > 0:
             raise ConfigError(f"root_tol must be > 0, got {self.root_tol}")
-
-    def effective_utility(self):
-        return effective_utility(self.utility, self.transform)
 
     def report_grid(self):
         lo, hi = self.values.support
@@ -223,12 +212,10 @@ def compare_risk_aversion_spa(scenario):
     one-sided condition behind the ordering.  Raises
     :class:`OrderingViolation` (report attached) on failure.
     """
-    if scenario.transform is None:
-        raise ConfigError("comparison needs a transform on the scenario")
+    uh = scenario._bent_utility()
     base = solve_spa(replace(scenario, transform=None))
     bent = solve_spa(scenario)
     grid = base.grid
-    uh = scenario.effective_utility()
     won = pivotal_expectation(scenario, grid, base.bids, utility=uh)
     slack = uh.value(scenario.outside.value(grid)) - won
 

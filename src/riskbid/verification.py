@@ -138,9 +138,10 @@ def best_response_audit(
     report grid over the support plus the truthful report itself; the
     audit passes when no type gains more than ``audit_tol`` and every
     argmax lies within one deviation-grid cell of the truthful report.
-    First-price audits additionally probe bids above the top of the
-    solved schedule, which win with certainty.  ``fmt`` must name the
-    scenario's own format, else ``ConfigError``.
+    No bid above the top of the solved schedule needs a probe: the report
+    grid ends at the top of the support, whose bid already wins with
+    certainty, at a price no higher than any larger bid.  ``fmt`` must
+    name the scenario's own format, else ``ConfigError``.
     """
     _check_format(fmt, scenario)
     lo, hi = scenario.values.support
@@ -148,44 +149,23 @@ def best_response_audit(
     base_ts = np.linspace(lo, hi, int(deviation_grid_size))
     cell = (hi - lo) / (int(deviation_grid_size) - 1)
 
-    if fmt == "fpa":
-        u = scenario.effective_utility()
-        b_top = float(solution.bids[-1])
-        room = hi - b_top
-        if room <= 0:
-            room = 0.1 * (hi - lo)
-        probe_bids = b_top + room * np.array([0.01, 0.05, 0.2, 0.5, 1.0])
-
+    report_utility = fpa_report_utility if fmt == "fpa" else spa_report_utility
     best_reports = np.empty_like(types)
     gains = np.empty_like(types)
-    loc_ok = np.ones(types.shape, dtype=bool)
     for i, v in enumerate(types):
         ts = np.unique(np.concatenate([base_ts, [v]]))
-        if fmt == "fpa":
-            psi = fpa_report_utility(scenario, solution, v, ts)
-        else:
-            psi = spa_report_utility(scenario, solution, v, ts)
-        i_v = int(np.searchsorted(ts, v))
-        psi_self = psi[i_v]
+        psi = report_utility(scenario, solution, v, ts)
+        psi_self = psi[int(np.searchsorted(ts, v))]
         j = int(np.argmax(psi))
-        best, t_star = psi[j], ts[j]
-
-        if fmt == "fpa":
-            # out-of-range bids win with certainty at their own price
-            probe_psi = u.masked_value(v - probe_bids)
-            k = int(np.argmax(probe_psi))
-            if probe_psi[k] > best:
-                best, t_star = probe_psi[k], np.nan
-        gain = best - psi_self
+        gain, t_star = psi[j] - psi_self, ts[j]
         floor = _ROUNDING_GAIN * max(1.0, abs(psi_self)) if np.isfinite(psi_self) else 0.0
         if gain <= floor:
             # no better report, or one within rounding of a finite psi_self
             gain, t_star = 0.0, v
-        best_reports[i] = t_star
-        gains[i] = gain
-        loc_ok[i] = np.isfinite(t_star) and abs(t_star - v) <= cell * (1 + 1e-9)
+        best_reports[i], gains[i] = t_star, gain
 
     max_gain = float(np.max(gains))
+    loc_ok = np.abs(best_reports - types) <= cell * (1 + 1e-9)
     passed = bool(max_gain <= audit_tol and np.all(loc_ok))
     return AuditReport(
         format=fmt,

@@ -9,11 +9,21 @@ import sys
 import numpy as np
 import pytest
 
-from riskbid import cli
+from riskbid import (
+    ConfigError,
+    FPAScenario,
+    SPAScenario,
+    UniformDist,
+    ValueModel,
+    cli,
+    compare_risk_aversion_fpa,
+    compare_risk_aversion_spa,
+)
 from riskbid.cli import main, read_solution_csv
 from riskbid.config import build_scenario
 from riskbid.errors import OrderingViolation
 
+UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
 
 FPA_CFG = {
@@ -285,6 +295,24 @@ def test_compare_requires_transform(tmp_path):
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("compare, scenario", [
+    (compare_risk_aversion_fpa, FPAScenario(values=UNIT3)),
+    (compare_risk_aversion_spa, SPAScenario(values=UNIT3)),
+])
+def test_compare_transform_rule_has_one_message(compare, scenario):
+    with pytest.raises(ConfigError, match="^comparison needs a transform on the scenario$"):
+        compare(scenario)
+
+
+def test_compare_config_without_transform_exits_3(tmp_path, capsys):
+    cfg = os.path.join(CONFIG_DIR, "uniform_two_units.json")
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr() == (
+        "", "config error: comparison needs a transform on the scenario\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # safety
 # ---------------------------------------------------------------------------
@@ -352,6 +380,15 @@ def test_safety_rejects_malformed_problem(tmp_path, capsys):
         assert main(["safety", "--config", cfg]) == 3, doc
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bid_a, bid_b", [(0.4, 0.7), (0.7, 0.7)])
+def test_safety_unordered_bids_exit_3(tmp_path, capsys, bid_a, bid_b):
+    cfg = write_cfg(tmp_path, dict(SAFE_PROBLEM, bid_a=bid_a, bid_b=bid_b), "problem.json")
+    assert main(["safety", "--config", cfg]) == 3
+    assert capsys.readouterr() == (
+        "", "input error: need bid_a > bid_b separated by more than 1e-09\n"
+    )
 
 
 # ---------------------------------------------------------------------------

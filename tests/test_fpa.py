@@ -193,6 +193,26 @@ def test_marginal_tradeoff_needs_surplus():
         marginal_tradeoff(LinearUtility(), 0.1, 0.2)
 
 
+def test_marginal_tradeoff_on_arrays():
+    u = CRRAUtility(0.5)
+    x = np.array([1.0, 4.0, 2.25])
+    out = marginal_tradeoff(u, x, 0.0)
+    assert isinstance(out, np.ndarray) and out.shape == (3,)
+    assert np.array_equal(out, [marginal_tradeoff(u, float(xi), 0.0) for xi in x])
+    grid = marginal_tradeoff(LinearUtility(), x[:, None], np.array([0.0, 0.5]))
+    assert np.array_equal(grid, x[:, None] - np.array([0.0, 0.5]))
+    assert isinstance(marginal_tradeoff(u, 1.0, 0.0), float)
+
+
+def test_marginal_tradeoff_names_the_first_bad_entry():
+    x = np.array([0.7, 0.2, 0.1, 0.9])
+    with pytest.raises(NonpositiveSurplus, match="^entry 1: winning surplus 0.2 does not "
+                       "exceed the outside option 0.2$"):
+        marginal_tradeoff(LinearUtility(), x, 0.2)
+    with pytest.raises(NonpositiveSurplus, match="^entry 2: .* surplus nan "):
+        marginal_tradeoff(LinearUtility(), [0.7, 0.8, np.nan], [0.2, 0.2, 0.2])
+
+
 def test_closed_form_coefficients():
     assert closed_form_crra_uniform(2, 0.0) == pytest.approx(0.5)
     assert closed_form_crra_uniform(3, 0.5) == pytest.approx(0.8)

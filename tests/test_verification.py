@@ -320,8 +320,9 @@ def test_audit_fails_on_inflated_bids(fpa_pair):
 
 
 def test_audit_fails_on_deflated_bids(fpa_pair):
-    # bids shaved 20% below equilibrium invite deviations above the top
-    # tabulated bid, which the out-of-range probes must catch
+    # with bids shaved 20% below equilibrium a type gains by reporting
+    # above its value, and the report grid reaches that deviation (up to
+    # the top of the support, whose bid already wins with certainty)
     scn, sol = fpa_pair
     bad = EquilibriumSolution.from_grid(sol.grid, sol.bids * 0.8,
                                         v_floor=sol.v_floor,
