@@ -103,8 +103,12 @@ def _noise_mean(u, v, b, offsets, weights):
 
 def _noise_mean_slab(u, v, b, offsets, weights):
     vals = u.masked_value(np.asarray(v)[..., None] + offsets - np.asarray(b)[..., None])
+    # stacked rows go through one matrix-vector product, with the bits of
+    # the stacked product's one BLAS call per (8 x atoms) block; a single
+    # row stays a dot product
+    flat = vals.reshape(-1, offsets.size) if vals.ndim > 2 else vals
     with np.errstate(invalid="ignore"):  # -inf times a zero weight is nan
-        out = np.asarray(vals @ weights)
+        out = np.asarray(flat @ weights).reshape(vals.shape[:-1])
     out[np.isnan(out)] = -np.inf
     return out
 

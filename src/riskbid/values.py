@@ -324,11 +324,11 @@ class ValueModel:
         v = self._check_in_support(v, "value")
         F, f = self._cdfs(v), self._pdfs(v)
         post = self._posterior(v, f)
-        q = self._kth_tail(post, 1, F)
+        q = self._mix_tail(post, self._tail_factors(1, F))
         low = q < _Q_FLOOR
         if _any(low):
             raise SingularHazard(f"win probability vanishes at v={_first(v, low):g}")
-        return _float_or_array(self._kth_density(post, 1, F, f) / q)
+        return _float_or_array(self._mix_density(post, 1, self._density_factors(1, F, f)) / q)
 
     def _check_units(self, units):
         if not (1 <= units <= self.n - 1):
@@ -336,26 +336,49 @@ class ValueModel:
                 f"order statistic index must be in [1, {self.n - 1}], got {units}"
             )
 
-    def _kth_tail(self, post, units, cdfs):
-        """:meth:`kth_win_prob` given the posterior ``post`` and each
-        component's cdf at the thresholds."""
+    def _tail_factors(self, units, cdfs):
+        """Per component, P(fewer than ``units`` of the n-1 rivals exceed
+        t) given its cdf at t: the part of :meth:`kth_win_prob` that does
+        not depend on the own value.  Plain loops: the first-price
+        right-hand side calls this once per stage on a float."""
         m = self.n - 1
+        tails = []
+        for F in cdfs:
+            tail = 0.0
+            for j in range(units):
+                tail = tail + _binomial_term(math.comb(m, j), F, j, m - j)
+            tails.append(tail)
+        return tails
+
+    def _density_factors(self, units, cdfs, pdfs):
+        """Per component, the factors (1 - F)^(units-1), F^(n-1-units) and f
+        of :meth:`kth_rival_density` at the rival value, none of which
+        depends on the own value; the first is ``None`` for one unit,
+        where it is exactly 1."""
+        m = self.n - 1
+        factors = []
+        for F, f in zip(cdfs, pdfs):
+            lower = np.power(1.0 - F, units - 1) if units > 1 else None
+            factors.append((lower, np.power(F, m - units), f))
+        return factors
+
+    @staticmethod
+    def _mix_tail(post, tails):
+        """:meth:`kth_win_prob` from the posterior and :meth:`_tail_factors`."""
         out = 0.0
-        for p, F in zip(post, cdfs):
-            tail = sum(
-                _binomial_term(math.comb(m, j), F, j, m - j) for j in range(units)
-            )
+        for p, tail in zip(post, tails):
             out = out + p * tail
         return out
 
-    def _kth_density(self, post, units, cdfs, pdfs):
-        """:meth:`kth_rival_density` given the posterior ``post`` and each
-        component's cdf and pdf at the rival value."""
-        m = self.n - 1
-        coef = units * math.comb(m, units)
+    def _mix_density(self, post, units, factors):
+        """:meth:`kth_rival_density` from the posterior and
+        :meth:`_density_factors`, each term multiplied left to right as
+        ((p * coef) * (1 - F)^(units-1)) * F^(n-1-units) * f."""
+        coef = units * math.comb(self.n - 1, units)
         out = 0.0
-        for p, F, f in zip(post, cdfs, pdfs):
-            out = out + _binomial_term(p * coef, F, units - 1, m - units) * f
+        for p, (lower, upper, f) in zip(post, factors):
+            c = p * coef if lower is None else p * coef * lower
+            out = out + c * upper * f
         return out
 
     def kth_win_prob(self, units, v, t):
@@ -367,7 +390,7 @@ class ValueModel:
         self._check_units(units)
         post = self.posterior(v)
         t = self._check_in_support(t, "threshold")
-        return _float_or_array(self._kth_tail(post, units, self._cdfs(t)))
+        return _float_or_array(self._mix_tail(post, self._tail_factors(units, self._cdfs(t))))
 
     def kth_rival_density(self, units, v, z):
         """Density of the k-th highest rival value at z, for k = units.
@@ -378,7 +401,8 @@ class ValueModel:
         self._check_units(units)
         post = self.posterior(v)
         z = self._check_in_support(z, "rival value")
-        return _float_or_array(self._kth_density(post, units, self._cdfs(z), self._pdfs(z)))
+        factors = self._density_factors(units, self._cdfs(z), self._pdfs(z))
+        return _float_or_array(self._mix_density(post, units, factors))
 
     def sample(self, rng, rounds):
         """Draw ``rounds`` full profiles of n values, shape (rounds, n).

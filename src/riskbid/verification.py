@@ -36,22 +36,65 @@ def _check_format(fmt, scenario):
         )
 
 
+def _count(name, x, least):
+    """x as a Python int; ``ConfigError`` unless it is an integer >= least."""
+    # bool is an int subclass, but True would pass as 1 (one round, one type)
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {x!r}")
+    return int(x)
+
+
 def fpa_report_utility(scenario, solution, v, t):
     """Expected utility of type v reporting t against the solved schedule.
 
     Winning pays the own bid at the report; losing pays nothing and
-    yields the outside option.  ``t`` may be a scalar (returns a float)
-    or an array.  A report whose winning surplus leaves the utility's
-    domain is worth -inf.
+    yields the outside option.  ``v`` and ``t`` may be scalars (returns
+    a float) or arrays that broadcast together: a column of types
+    against a row of reports gives the (types x reports) table.  A report
+    whose winning surplus leaves the utility's domain is worth -inf.
     """
     u = scenario.effective_utility()
-    u_s = float(u.value(scenario.outside.value(v)))
+    u_s = u.value(scenario.outside.value(v))
     t = np.asarray(t, dtype=float)
     q = np.asarray(scenario.values.win_prob(v, t), dtype=float)
     vals = u.masked_value(v - np.asarray(solution.bid_at(t), dtype=float))
     with np.errstate(invalid="ignore"):
         psi = np.where(q > 0.0, q * vals + (1.0 - q) * u_s, u_s)
     return float(psi) if psi.ndim == 0 else psi
+
+
+def _inserted(a, i, x):
+    """a with x inserted before index i, by one concatenation."""
+    return np.concatenate([a[:i], [x], a[i:]])
+
+
+def _panels(ts):
+    """Gauss-Legendre nodes and weights of the panels between consecutive
+    points along the last axis of ts: shape ts.shape[:-1] + (panels, 8)."""
+    a, b = ts[..., :-1], ts[..., 1:]
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b)[..., None] + half[..., None] * _GL8_NODES
+    return nodes, half[..., None] * _GL8_WEIGHTS
+
+
+def _spa_sweep(scenario, u, v, u_s, q, dens, bids, node_w):
+    """psi of type v at each report point of a panel sweep.
+
+    ``q`` is the win probability at the report points; ``dens``, ``bids``
+    and ``node_w`` are the rival density, the bid and the weight at each
+    panel node (panels x 8).  The win branch is integrated panel by panel
+    and summed cumulatively; a domain breach anywhere in a panel makes
+    every report from its right end on -inf.
+    """
+    m = pivotal_expectation(scenario, v, bids, utility=u)
+    with np.errstate(invalid="ignore"):
+        g = m * dens
+        panel = np.sum(g * node_w, axis=1)
+    panel[~np.isfinite(g).all(axis=1)] = -np.inf
+    win_term = np.concatenate([[0.0], np.cumsum(panel)])
+    psi = win_term + u_s * (1.0 - q)
+    psi[0] = u_s
+    return psi
 
 
 def spa_report_utility(scenario, solution, v, t):
@@ -65,10 +108,9 @@ def spa_report_utility(scenario, solution, v, t):
     support, split the integral into fixed Gauss-Legendre panels summed
     cumulatively, so a whole deviation sweep costs one pass.  The noise
     expectation at the panel nodes is evaluated in fixed slabs of panels,
-    so each audited type reuses a few cache-sized buffers instead of
-    mapping (and page-faulting) a fresh multi-megabyte tensor per
-    temporary.  A domain breach anywhere in a report's win branch makes
-    that report and all larger ones -inf.
+    so no temporary holds the whole (panels x 8 x atoms) tensor.  A
+    domain breach anywhere in a report's win branch makes that report
+    and all larger ones -inf.
     """
     u = scenario.effective_utility()
     vm = scenario.values
@@ -78,24 +120,65 @@ def spa_report_utility(scenario, solution, v, t):
 
     t = np.clip(np.asarray(t, dtype=float), lo, hi)
     ts, where = np.unique(np.concatenate([[lo], t.ravel()]), return_inverse=True)
-    q = np.asarray(vm.kth_win_prob(units, v, ts), dtype=float)
-    a, b = ts[:-1], ts[1:]
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GL8_NODES[None, :]
-    node_w = half[:, None] * _GL8_WEIGHTS[None, :]
-
-    bids = np.asarray(solution.bid_at(nodes), dtype=float)
-    m = pivotal_expectation(scenario, v, bids, utility=u)
-    dens = np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float)
-    with np.errstate(invalid="ignore"):
-        g = m * dens
-        panel = np.sum(g * node_w, axis=1)
-    panel[~np.isfinite(g).all(axis=1)] = -np.inf
-    win_term = np.concatenate([[0.0], np.cumsum(panel)])
-    psi = win_term + u_s * (1.0 - q)
-    psi[0] = u_s
+    nodes, node_w = _panels(ts)
+    psi = _spa_sweep(
+        scenario, u, v, u_s,
+        np.asarray(vm.kth_win_prob(units, v, ts), dtype=float),
+        np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float),
+        np.asarray(solution.bid_at(nodes), dtype=float),
+        node_w,
+    )
     out = psi[where[1:]].reshape(t.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _fpa_audit_rows(scenario, solution, types, reports, at, own):
+    """psi of each type over the reports plus its own truthful report,
+    from one (types x reports) table and the truthful diagonal."""
+    table = fpa_report_utility(scenario, solution, types[:, None], reports)
+    truthful = fpa_report_utility(scenario, solution, types, types)
+    for row, i, is_report, psi_self in zip(table, at, own, truthful):
+        yield row if is_report else _inserted(row, i, psi_self)
+
+
+def _spa_audit_rows(scenario, solution, types, reports, at, own):
+    """psi of each type over the reports plus its own truthful report,
+    sharing what depends only on the reports (see
+    :func:`best_response_audit`); the panels split by the types that are
+    no report point are evaluated for all of them at once."""
+    u = scenario.effective_utility()
+    vm = scenario.values
+    units = scenario.units
+    post = vm.posterior(types)
+
+    nodes, node_w = _panels(reports)
+    bids = solution.bid_at(nodes)
+    tails = vm._tail_factors(units, vm._cdfs(reports))
+    factors = vm._density_factors(units, vm._cdfs(nodes), vm._pdfs(nodes))
+
+    split = ~own
+    s_at = at[split]
+    s_nodes, s_w = _panels(np.stack([reports[s_at - 1], types[split], reports[s_at]], axis=1))
+    s_bids = solution.bid_at(s_nodes)
+    s_post = post[:, split]
+    s_q = vm._mix_tail(s_post, vm._tail_factors(units, vm._cdfs(types[split])))
+    s_factors = vm._density_factors(units, vm._cdfs(s_nodes), vm._pdfs(s_nodes))
+    s_dens = vm._mix_density(s_post[..., None, None], units, s_factors)
+    slot = np.cumsum(split) - 1  # each splitting type's row in the s_ arrays
+
+    for i, v in enumerate(types):
+        u_s = float(u.value(scenario.outside.value(v)))
+        q = vm._mix_tail(post[:, i], tails)
+        dens = vm._mix_density(post[:, i], units, factors)
+        if own[i]:
+            yield _spa_sweep(scenario, u, v, u_s, q, dens, bids, node_w)
+            continue
+        j, k = at[i] - 1, slot[i]  # v splits panel j in two
+        halves = ((dens, s_dens), (bids, s_bids), (node_w, s_w))
+        yield _spa_sweep(
+            scenario, u, v, u_s, _inserted(q, j + 1, s_q[k]),
+            *(np.concatenate([a[:j], s[k], a[j + 1:]]) for a, s in halves),
+        )
 
 
 @dataclass
@@ -140,22 +223,39 @@ def best_response_audit(
     argmax lies within one deviation-grid cell of the truthful report.
     No bid above the top of the solved schedule needs a probe: the report
     grid ends at the top of the support, whose bid already wins with
-    certainty, at a price no higher than any larger bid.  ``fmt`` must
-    name the scenario's own format, else ``ConfigError``.
+    certainty, at a price no higher than any larger bid.
+
+    What depends only on the report grid is computed once per audit and
+    shared by every type: the bids there (and, second price, at the
+    panel nodes with each component's order-statistic factors).  First
+    price evaluates one (types x reports) table plus the truthful
+    diagonal.  Second price keeps per type only the posterior weighting,
+    the split of the one panel holding the type, the noise expectation
+    and the cumulative sum, so no (types x panels x 8) array is built.
+
+    ``fmt`` must name the scenario's own format, and ``type_grid_size``
+    must be an integer >= 1 and ``deviation_grid_size`` one >= 2, else
+    ``ConfigError``.
     """
     _check_format(fmt, scenario)
+    n_types = _count("type_grid_size", type_grid_size, 1)
+    n_reports = _count("deviation_grid_size", deviation_grid_size, 2)
     lo, hi = scenario.values.support
-    types = np.linspace(lo, hi, int(type_grid_size))
-    base_ts = np.linspace(lo, hi, int(deviation_grid_size))
-    cell = (hi - lo) / (int(deviation_grid_size) - 1)
+    types = np.linspace(lo, hi, n_types)
+    reports = np.linspace(lo, hi, n_reports)
+    cell = (hi - lo) / (n_reports - 1)
+    # each type's place among the reports, where its own report goes
+    # unless it is one of them
+    at = np.searchsorted(reports, types)
+    own = np.isin(types, reports)
 
-    report_utility = fpa_report_utility if fmt == "fpa" else spa_report_utility
+    audit_rows = _fpa_audit_rows if fmt == "fpa" else _spa_audit_rows
+    rows = audit_rows(scenario, solution, types, reports, at, own)
     best_reports = np.empty_like(types)
     gains = np.empty_like(types)
-    for i, v in enumerate(types):
-        ts = np.unique(np.concatenate([base_ts, [v]]))
-        psi = report_utility(scenario, solution, v, ts)
-        psi_self = psi[int(np.searchsorted(ts, v))]
+    for i, (v, psi) in enumerate(zip(types, rows)):
+        ts = reports if own[i] else _inserted(reports, at[i], v)
+        psi_self = psi[at[i]]
         j = int(np.argmax(psi))
         gain, t_star = psi[j] - psi_self, ts[j]
         floor = _ROUNDING_GAIN * max(1.0, abs(psi_self)) if np.isfinite(psi_self) else 0.0
@@ -175,7 +275,7 @@ def best_response_audit(
         max_gain=max_gain,
         passed=passed,
         audit_tol=float(audit_tol),
-        deviation_grid_size=int(deviation_grid_size),
+        deviation_grid_size=n_reports,
     )
 
 
@@ -221,14 +321,6 @@ def _merge_moments(acc, x):
         delta = sum_b / n_b - sum_a / n_a
         m2_b += delta * delta * n_a * n_b / (n_a + n_b)
     return n_a + n_b, sum_a + sum_b, m2_a + m2_b
-
-
-def _count(name, x, least):
-    """x as a Python int; ``ConfigError`` unless it is an integer >= least."""
-    # bool is an int subclass, but True would run one round (per chunk)
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {x!r}")
-    return int(x)
 
 
 def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_000):

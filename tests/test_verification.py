@@ -11,6 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 from riskbid import (
     CARAUtility,
     ConfigError,
+    ConstantOutside,
     CRRAUtility,
     DeterministicWin,
     DiscreteNoise,
@@ -33,7 +34,7 @@ from riskbid import (
     spa_report_utility,
 )
 from riskbid.spa import _SLAB
-from riskbid.verification import _GL8_NODES, _GL8_WEIGHTS
+from riskbid.verification import _GL8_NODES, _GL8_WEIGHTS, _ROUNDING_GAIN
 
 U2 = ValueModel.iid(UniformDist(0.0, 1.0), 2)
 U3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
@@ -394,6 +395,170 @@ def test_audit_pass_needs_gain_and_location(fpa_pair):
     # while the true equilibrium passes even at zero tolerance
     exact = best_response_audit("fpa", scn, sol, audit_tol=0.0)
     assert exact.passed
+
+
+def reference_best_response_audit(fmt, scenario, solution, type_grid_size,
+                                  deviation_grid_size, audit_tol=1e-6):
+    """``best_response_audit`` as a loop over types: each type evaluates
+    its whole report sweep on its own, with the truthful report merged
+    into the report grid, through the per-type report utilities."""
+    lo, hi = scenario.values.support
+    types = np.linspace(lo, hi, int(type_grid_size))
+    base_ts = np.linspace(lo, hi, int(deviation_grid_size))
+    cell = (hi - lo) / (int(deviation_grid_size) - 1)
+    report_utility = fpa_report_utility if fmt == "fpa" else spa_report_utility
+    best_reports = np.empty_like(types)
+    gains = np.empty_like(types)
+    for i, v in enumerate(types):
+        ts = np.unique(np.concatenate([base_ts, [v]]))
+        psi = report_utility(scenario, solution, v, ts)
+        psi_self = psi[int(np.searchsorted(ts, v))]
+        j = int(np.argmax(psi))
+        gain, t_star = psi[j] - psi_self, ts[j]
+        floor = _ROUNDING_GAIN * max(1.0, abs(psi_self)) if np.isfinite(psi_self) else 0.0
+        if gain <= floor:
+            gain, t_star = 0.0, v
+        best_reports[i], gains[i] = t_star, gain
+    max_gain = float(np.max(gains))
+    loc_ok = np.abs(best_reports - types) <= cell * (1 + 1e-9)
+    return types, best_reports, gains, max_gain, bool(max_gain <= audit_tol and np.all(loc_ok))
+
+
+_MIX3 = ValueModel.mixture([(0.6, UniformDist(0.0, 1.0)), (0.4, PowerDist(2.0, 0.0, 1.0))], 3)
+_TWO_POINT = NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), scale=0.2)
+#: (format, scenario, factor on the solved bids); a factor of None bids
+#: 0.5 above value under a CRRA base, so the truthful report is -inf
+_AUDIT_CASES = {
+    "spa_u3_deterministic": ("spa", SPAScenario(values=U3, grid=129), 1.0),
+    "spa_u3_two_units_two_point_cara": (
+        "spa", SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=_TWO_POINT,
+                           units=2, grid=129), 1.0),
+    "spa_mix_tnorm64_crra": (
+        "spa", SPAScenario(values=_MIX3, transform=CRRAUtility(0.5, shift=2.0),
+                           win_payoff=_TNORM64, grid=129), 1.0),
+    "spa_mix_two_units_two_point_inflated": (
+        "spa", SPAScenario(values=_MIX3, transform=CRRAUtility(0.5, shift=2.0),
+                           win_payoff=_TWO_POINT, units=2, grid=129), 1.2),
+    "spa_u3_tnorm64_outside_deflated": (
+        "spa", SPAScenario(values=U3, outside=ConstantOutside(0.1), win_payoff=_TNORM64,
+                           grid=129), 0.8),
+    "spa_mix_deterministic_cara_deflated": (
+        "spa", SPAScenario(values=_MIX3, transform=CARAUtility(1.5), grid=129), 0.8),
+    "spa_truthful_minus_inf": (
+        "spa", SPAScenario(values=U3, utility=CRRAUtility(0.5), grid=65), None),
+    "fpa_u3": ("fpa", FPAScenario(values=U3, grid=129), 1.0),
+    "fpa_mix_crra_inflated": (
+        "fpa", FPAScenario(values=_MIX3, transform=CRRAUtility(0.5, shift=2.0), grid=129), 1.1),
+    "fpa_u3_outside_cara_deflated": (
+        "fpa", FPAScenario(values=U3, outside=ConstantOutside(0.1), transform=CARAUtility(2.0),
+                           grid=129), 0.8),
+    "fpa_mix_truthful_minus_inf": (
+        "fpa", FPAScenario(values=_MIX3, utility=CRRAUtility(0.5), grid=65), None),
+}
+
+
+def _audit_case(name):
+    fmt, scn, factor = _AUDIT_CASES[name]
+    if factor is None:
+        grid = np.linspace(0.0, 1.0, 65)
+        return fmt, scn, EquilibriumSolution.from_grid(grid, grid + 0.5)
+    sol = solve_fpa(scn) if fmt == "fpa" else solve_spa(scn)
+    if factor == 1.0:
+        return fmt, scn, sol
+    return fmt, scn, EquilibriumSolution.from_grid(
+        sol.grid, sol.bids * factor, v_floor=sol.v_floor, boundary_bid=sol.boundary_bid * factor)
+
+
+@pytest.mark.parametrize("name", sorted(_AUDIT_CASES))
+def test_audit_matches_per_type_loop(name):
+    fmt, scn, sol = _audit_case(name)
+    # in the last two sizes every type is a report point, so no panel splits
+    for sizes in ((33, 512), (17, 128), (33, 33), (2, 2)):
+        rep = best_response_audit(fmt, scn, sol, *sizes)
+        got = (rep.types, rep.best_reports, rep.gains, rep.max_gain, rep.passed)
+        want = reference_best_response_audit(fmt, scn, sol, *sizes)
+        for field, a, b in zip(("types", "best_reports", "gains", "max_gain", "passed"), got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (sizes, field)
+
+
+def test_audit_cases_cover_passes_and_failures():
+    passed = {name: best_response_audit(*_audit_case(name), 17, 128).passed
+              for name in _AUDIT_CASES}
+    assert passed["spa_u3_deterministic"] and passed["fpa_u3"]
+    assert not passed["spa_truthful_minus_inf"] and not passed["fpa_mix_truthful_minus_inf"]
+    assert not passed["spa_mix_two_units_two_point_inflated"]
+    assert not passed["spa_u3_tnorm64_outside_deflated"]
+    assert not passed["fpa_mix_crra_inflated"] and not passed["fpa_u3_outside_cara_deflated"]
+
+
+@pytest.mark.parametrize(
+    "sizes, name",
+    [
+        ((0, 512), "type_grid_size"),
+        ((-3, 512), "type_grid_size"),
+        ((2.5, 512), "type_grid_size"),
+        ((True, 512), "type_grid_size"),
+        ((33.0, 512), "type_grid_size"),
+        (("33", 512), "type_grid_size"),
+        ((33, 1), "deviation_grid_size"),
+        ((33, 0), "deviation_grid_size"),
+        ((33, 64.5), "deviation_grid_size"),
+        ((33, True), "deviation_grid_size"),
+        ((33, None), "deviation_grid_size"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["fpa", "spa"])
+def test_audit_rejects_bad_grid_sizes(fmt, sizes, name, fpa_pair, spa_pair):
+    scn, sol = fpa_pair if fmt == "fpa" else spa_pair
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
+        best_response_audit(fmt, scn, sol, *sizes)
+
+
+@pytest.mark.parametrize("fmt", ["fpa", "spa"])
+def test_audit_accepts_smallest_and_numpy_grid_sizes(fmt, fpa_pair, spa_pair):
+    scn, sol = fpa_pair if fmt == "fpa" else spa_pair
+    one = best_response_audit(fmt, scn, sol, 1, 2)
+    assert one.types.tolist() == [0.0] and one.passed
+    rep = best_response_audit(fmt, scn, sol, np.int64(5), np.int32(64))
+    assert rep.deviation_grid_size == 64 and type(rep.deviation_grid_size) is int
+    assert rep.to_json() == best_response_audit(fmt, scn, sol, 5, 64).to_json()
+
+
+def test_spa_audit_never_holds_the_whole_tensor():
+    scn = SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=_TNORM64, grid=1025)
+    sol = solve_spa(scn)
+    whole = 511 * 8 * 64 * 8  # bytes of one (panels x 8 x atoms) float64 tensor
+    best_response_audit("spa", scn, sol)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        best_response_audit("spa", scn, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole, (peak, whole)
+
+
+@pytest.mark.parametrize("case", ["equilibrium", "over"])
+def test_fpa_report_utility_type_column_matches_scalar_calls(case):
+    scn = FPAScenario(values=_MIX3, transform=CARAUtility(1.5),
+                      utility=CRRAUtility(0.5, shift=0.2), grid=129)
+    if case == "equilibrium":
+        sol = solve_fpa(scn)
+    else:  # bids above value: the high reports leave the domain
+        grid = np.linspace(0.0, 1.0, 65)
+        sol = EquilibriumSolution.from_grid(grid, grid + 0.5)
+    types = np.linspace(0.0, 1.0, 9)
+    ts = np.linspace(0.0, 1.0, 37)
+    table = fpa_report_utility(scn, sol, types[:, None], ts)
+    assert table.shape == (types.size, ts.size)
+    scalar = np.array([[fpa_report_utility(scn, sol, float(v), float(t)) for t in ts]
+                       for v in types])
+    assert table.tobytes() == scalar.tobytes()
+    if case == "over":
+        assert np.any(table == -np.inf) and np.any(np.isfinite(table))
+    diag = fpa_report_utility(scn, sol, types, types)
+    assert diag.tobytes() == np.array([fpa_report_utility(scn, sol, float(v), float(v))
+                                       for v in types]).tobytes()
 
 
 # ---------------------------------------------------------------------------
