@@ -20,16 +20,15 @@ the slope itself implies, clipped so the starting bid keeps strictly
 positive surplus.  The attracting character of the singular point makes
 the solution insensitive to the exact offset.
 
-The integrator calls the right-hand side one scalar at a time, a few
-hundred times per solve.  Those calls pass Python floats, so the hazard,
-outside option and utility evaluators take their float branches: the
-same kernels, checks and rounding as for arrays, with float comparisons
-in place of numpy's 0-d machinery.
+The integrator is a private DOP853 stepper that takes the same steps as
+scipy's DOP853 method.  Each step attempt evaluates the hazard and the
+outside option, which depend on v alone, in one array call at all of
+its stage and dense-output abscissae; each stage then evaluates the
+utilities' tradeoffs on Python floats.
 
-The hazard depends on v alone, so one private integrator solves the
-equation for several utilities at once as one ODE system: each stage
-evaluates the hazard once, and each utility keeps its own tradeoff,
-start bid and checks.  ``solve_fpa`` is the one-utility case;
+One integration also solves the equation for several utilities at once
+as one ODE system: each utility keeps its own tradeoff, start bid and
+checks.  ``solve_fpa`` is the one-utility case;
 ``compare_risk_aversion_fpa`` integrates the baseline and transformed
 schedules together.
 """
@@ -40,10 +39,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from . import _dop853
 from .errors import (
     ConfigError,
     NonmonotoneSolution,
@@ -407,14 +406,15 @@ def _solve_joint(scenario, utilities):
     """One equilibrium per utility, all integrated as one ODE system.
 
     Component i solves beta_i' = hazard(v) * tradeoff_i(v - beta_i(v))
-    from its own start bid; a stage evaluates ``hazard(v)`` once for
-    every component (and not at all when every component is clamped).
-    Each component keeps its own clamp, start, zero-surplus check,
-    ``check_monotone`` and residuals; one array ``hazard`` call on the
-    grid serves every residual check.  The DOP853 error norm is an RMS
-    over the components, so with several utilities a component's steps
-    can be up to 2^(1/16) times longer than in its own solve; with one
-    utility this is exactly the one-component solve.
+    from its own start bid.  Each step attempt calls ``hazard`` and the
+    outside option once, on the 15 abscissae of its stages and dense
+    output; each stage then evaluates every component's tradeoff on
+    floats.  Each component keeps its own clamp, start, zero-surplus
+    check, ``check_monotone`` and residuals; one array ``hazard`` call
+    on the grid serves every residual check.  The DOP853 error norm is
+    an RMS over the components, so with several utilities a component's
+    steps can be up to 2^(1/16) times longer than in its own solve; with
+    one utility this is exactly the one-component solve.
     """
     vm = scenario.values
     outside = scenario.outside
@@ -436,40 +436,25 @@ def _solve_joint(scenario, utilities):
     # a constant outside option repeats s_v at every stage: one-entry memos
     memos = [(u, functools.lru_cache(maxsize=1)(u.value)) for u in utilities]
 
-    def rhs(v, y):
-        # plain floats take the scalar branches of the checked kernels
-        v = float(v)
-        s_v = float(outside.value(v))
-        lam = None
-        out = []
-        for (u, value_s), b in zip(memos, y.tolist()):
-            x = v - b
-            if x <= s_v:
-                # only transient trial stages land here; push back toward
-                # positive surplus by flattening the field
-                out.append(0.0)
-                continue
-            if lam is None:
-                lam = vm.hazard(v)
-            out.append(lam * _tradeoff_raw(u, x, s_v, value_s))
-        return out
+    def rhs(v, lam, s_v, y):
+        # only transient trial stages reach a clamp (x <= s_v); a flat
+        # field pushes them back toward positive surplus
+        return [0.0 if (x := v - b) <= s_v else lam * _tradeoff_raw(u, x, s_v, value_s)
+                for (u, value_s), b in zip(memos, y.tolist())]
+
+    def stages(vs):
+        lams, s_vs = vm.hazard(vs).tolist(), np.asarray(outside.value(vs), dtype=float).tolist()
+        vs = vs.tolist()
+        return lambda i, y: rhs(vs[i], lams[i], s_vs[i], y)
 
     tol_int = max(5e-14, min(scenario.ode_tol, 1.0) * 1e-3)
-    sol = solve_ivp(
-        rhs,
-        (v0, hi),
-        y0,
-        method="DOP853",
-        dense_output=True,
-        rtol=tol_int,
-        atol=tol_int,
-        first_step=min(eps / 4.0, span / 1000.0),
+    dense = _dop853.integrate(
+        stages, v0, y0, rhs(v0, lam0, s0, np.asarray(y0)), hi,
+        first_step=min(eps / 4.0, span / 1000.0), tol=tol_int,
     )
-    if not sol.success:
-        raise SingularHazard(f"integration failed: {sol.message}")
 
     grid = scenario.report_grid()
-    all_bids = sol.sol(grid)
+    all_bids = dense(grid)
 
     s_grid = np.asarray(outside.value(grid))
     if np.any(grid - s_grid - all_bids <= 0):
@@ -482,7 +467,7 @@ def _solve_joint(scenario, utilities):
         monotone.append(check_monotone(bids, _stacklevel=4))
 
     lam = vm.hazard(grid)
-    slopes = _interpolant_slope(sol.sol, grid, span)
+    slopes = _interpolant_slope(dense, grid, span)
     out = []
     for u, bids, slope, mono in zip(utilities, all_bids, slopes, monotone):
         field_val = lam * _tradeoff_raw(u, grid - bids, s_grid)
@@ -510,14 +495,14 @@ def solve_fpa(scenario):
     integration, and ``NonmonotoneSolution`` when the solved bids
     decrease over more than two grid cells.
 
-    Each right-hand-side call converts its stage to Python floats, so
-    every check it makes (utility domain, value support, vanishing win
-    probability) runs as a float comparison on the shared kernels;
-    u at the outside option is memoized for a repeated s(v).  The
-    residual check is one array pass over the grid: the vector field at
-    the solved bids (one ``hazard`` call on the whole grid) against the
-    slope of the dense output.  ``derivative_check`` is the largest
-    interior residual scaled by 1 + |field|.
+    Each step attempt of the integrator evaluates the hazard and the
+    outside option in one array call; each stage checks the utility
+    domain and the surplus on floats, and u at the outside option is
+    memoized for a repeated s(v).  The residual check is one array pass
+    over the grid: the vector field at the solved bids (one ``hazard``
+    call on the whole grid) against the slope of the dense output.
+    ``derivative_check`` is the largest interior residual scaled by
+    1 + |field|.
     """
     return _solve_joint(scenario, [scenario.effective_utility()])[0]
 
@@ -550,8 +535,8 @@ class ComparisonReport:
 def compare_risk_aversion_fpa(scenario):
     """Solve with and without the transform; more risk aversion bids higher.
 
-    Both schedules come from one joint integration, so each stage
-    evaluates the hazard once for both.  They agree with two separate
+    Both schedules come from one joint integration, so each step
+    attempt evaluates the hazard once for both.  They agree with two separate
     :func:`solve_fpa` calls to the ODE tolerance, not bit for bit: the
     shared step sizes follow both components' errors.
 

@@ -35,10 +35,7 @@ class ConstantOutside(OutsideOption):
         self.s0 = float(s0)
 
     def value(self, v):
-        if isinstance(v, float):
-            return self.s0
-        v = np.asarray(v, dtype=float)
-        out = np.full_like(v, self.s0)
+        out = np.full_like(np.asarray(v, dtype=float), self.s0)
         return float(out) if out.ndim == 0 else out
 
     def to_config(self):
@@ -54,9 +51,7 @@ class AffineOutside(OutsideOption):
         self.c1 = float(c1)
 
     def value(self, v):
-        if not isinstance(v, float):
-            v = np.asarray(v, dtype=float)
-        out = self.c0 + self.c1 * v
+        out = self.c0 + self.c1 * np.asarray(v, dtype=float)
         return float(out) if np.ndim(out) == 0 else out
 
     def to_config(self):

@@ -146,6 +146,9 @@ class CRRAUtility(Utility):
         return np.power(z, r) / r
 
     def _du(self, z):
+        if isinstance(z, float) and z > 0.0:
+            # nothing to divide by zero, so no error state to enter
+            return np.power(z, -self.rho)
         with np.errstate(divide="ignore"):
             return np.power(z, -self.rho)
 

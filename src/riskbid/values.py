@@ -9,11 +9,7 @@ value-dependent.  The marginals are the package's only continuous laws:
 a continuous win-noise law (``outcomes``) is a marginal plus fixed
 quadrature.
 
-Every evaluator takes a scalar or an array.  A Python float (or
-np.float64) goes through float branches of the support check, the
-uniform and power cdfs and the IID posterior, which round exactly as
-the array path does but skip numpy's 0-d overhead; the ODE right-hand
-side of the first-price solver calls ``hazard`` this way.
+Every evaluator takes a scalar or an array; a scalar gives a float.
 """
 
 import math
@@ -31,11 +27,6 @@ _EDGE_SLACK = 1e-9
 
 def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _any(mask):
-    """np.any, except that a scalar mask (from a float input) is read as is."""
-    return mask if isinstance(mask, (bool, np.bool_)) else np.any(mask)
 
 
 def _binomial_term(c, F, j, k):
@@ -64,8 +55,6 @@ class MarginalDist:
 
     def _unit(self, t):
         """Position of t in the support as a fraction, clipped to [0, 1]."""
-        if isinstance(t, float):
-            return min(max((t - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         return np.clip((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def cdf(self, t):
@@ -86,8 +75,6 @@ class UniformDist(MarginalDist):
         return self._unit(t)
 
     def pdf(self, t):
-        if isinstance(t, float):
-            return 1.0 / (self.hi - self.lo)
         return np.full_like(np.asarray(t, dtype=float), 1.0 / (self.hi - self.lo))
 
     def ppf(self, q):
@@ -247,17 +234,10 @@ class ValueModel:
 
     def _check_in_support(self, t, what="point"):
         slack = _EDGE_SLACK * self.span
-        if isinstance(t, float):
-            if t < self.lo - slack or t > self.hi + slack:
-                self._support_error(what)
-            return min(max(t, self.lo), self.hi)
         arr = np.asarray(t, dtype=float)
         if ((arr < self.lo - slack) | (arr > self.hi + slack)).any():
-            self._support_error(what)
+            raise DomainError(f"{what} outside support [{self.lo:g}, {self.hi:g}]")
         return np.minimum(np.maximum(arr, self.lo), self.hi)
-
-    def _support_error(self, what):
-        raise DomainError(f"{what} outside support [{self.lo:g}, {self.hi:g}]")
 
     def marginal_cdf(self, t):
         t = self._check_in_support(t)
@@ -282,14 +262,13 @@ class ValueModel:
 
     def _posterior(self, v, f=None):
         """Posterior at a checked v; ``f`` holds the component densities at
-        v when the caller has them.  An IID model with a float v gives
-        ``(1.0,)``."""
+        v when the caller has them."""
         if self.is_iid:
-            return (1.0,) if isinstance(v, float) else np.ones((1,) + np.shape(v))
+            return np.ones((1,) + np.shape(v))
         raw = self._weighted(self._pdfs(v) if f is None else f)
         total = sum(raw)
         bad = (total <= 0.0) | ~np.isfinite(total)
-        if _any(bad):
+        if np.any(bad):
             # densities can vanish (or blow up) right at a support edge;
             # those entries use the limit from just inside instead
             eps = 1e-9 * self.span
@@ -297,7 +276,7 @@ class ValueModel:
             raw = np.where(bad, self._weighted(self._pdfs(v_in)), raw)
             total = sum(raw)
             bad = (total <= 0.0) | ~np.isfinite(total)
-            if _any(bad):
+            if np.any(bad):
                 raise DomainError(
                     f"component densities degenerate at v={_first(v, bad):g}"
                 )
@@ -326,7 +305,7 @@ class ValueModel:
         post = self._posterior(v, f)
         q = self._mix_tail(post, self._tail_factors(1, F))
         low = q < _Q_FLOOR
-        if _any(low):
+        if np.any(low):
             raise SingularHazard(f"win probability vanishes at v={_first(v, low):g}")
         return _float_or_array(self._mix_density(post, 1, self._density_factors(1, F, f)) / q)
 
@@ -339,8 +318,7 @@ class ValueModel:
     def _tail_factors(self, units, cdfs):
         """Per component, P(fewer than ``units`` of the n-1 rivals exceed
         t) given its cdf at t: the part of :meth:`kth_win_prob` that does
-        not depend on the own value.  Plain loops: the first-price
-        right-hand side calls this once per stage on a float."""
+        not depend on the own value."""
         m = self.n - 1
         tails = []
         for F in cdfs:

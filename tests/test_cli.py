@@ -540,12 +540,14 @@ def test_console_script(tmp_path):
 
 def test_import_leaves_scipy_stats_out():
     # scipy.stats is the heaviest module riskbid could pull in; the
-    # library's laws are written on scipy.special instead
+    # library's laws are written on scipy.special instead, and the
+    # first-price solver integrates with its own DOP853 stepper
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = "import sys, riskbid; sys.exit('scipy.stats' in sys.modules)"
+    code = ("import sys, riskbid; "
+            "sys.exit(' '.join(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules) or None)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr or "import riskbid loaded scipy.stats"
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(tmp_path):

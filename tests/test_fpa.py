@@ -1,12 +1,15 @@
 """Unit tests for the first-price equilibrium solver."""
 
+import functools
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import OdeSolution, quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicSpline
 
 from riskbid import (
@@ -25,6 +28,7 @@ from riskbid import (
     NonpositiveSurplus,
     OrderingViolation,
     PowerDist,
+    SingularHazard,
     SolverWarning,
     SPAScenario,
     UniformDist,
@@ -35,7 +39,14 @@ from riskbid import (
     solve_fpa,
     solve_spa,
 )
-from riskbid.fpa import _tradeoff_raw, check_monotone
+from riskbid import _dop853
+from riskbid.fpa import (
+    _interpolant_slope,
+    _solve_joint,
+    _start_bid,
+    _tradeoff_raw,
+    check_monotone,
+)
 
 from conftest import fpa_matrix
 
@@ -45,6 +56,15 @@ UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 # ---------------------------------------------------------------------------
 # scalar reference: the residual check one grid point at a time
 # ---------------------------------------------------------------------------
+
+def _scipy_dense(dense):
+    """The stepper's dense output as scipy's ``OdeSolution`` of one
+    ``Dop853DenseOutput`` per step, which evaluates a point at a time."""
+    ts = dense.ts
+    pieces = [Dop853DenseOutput(ts[j], ts[j + 1], dense.ys[j], dense.F[:, j])
+              for j in range(len(ts) - 1)]
+    return OdeSolution(ts, pieces)
+
 
 def _reference_slope(dense, t, span):
     """Central difference of the dense output, kept inside t's own piece."""
@@ -76,21 +96,27 @@ def reference_residuals(scenario, dense):
     return bids, residuals, float(np.max(scaled[1:-1]))
 
 
-@pytest.mark.parametrize("grid", [129, 1025])
-def test_residual_check_matches_scalar_reference(grid, monkeypatch):
-    # the solution keeps no integrator output, so catch the one solve_ivp makes
-    dense = []
+def _catch_dense(monkeypatch):
+    """A list that receives the dense output of every integration."""
+    caught = []
+    integrate = _dop853.integrate
 
     def spy(*args, **kwargs):
-        out = solve_ivp(*args, **kwargs)
-        dense.append(out.sol)
-        return out
+        caught.append(integrate(*args, **kwargs))
+        return caught[-1]
 
-    monkeypatch.setattr("riskbid.fpa.solve_ivp", spy)
+    monkeypatch.setattr(_dop853, "integrate", spy)
+    return caught
+
+
+@pytest.mark.parametrize("grid", [129, 1025])
+def test_residual_check_matches_scalar_reference(grid, monkeypatch):
+    # the solution keeps no integrator output, so catch the stepper's
+    dense = _catch_dense(monkeypatch)
     for _, scn in fpa_matrix():
         for case in (replace(scn, transform=None, grid=grid), replace(scn, grid=grid)):
             sol = solve_fpa(case)
-            bids, residuals, check = reference_residuals(case, dense.pop())
+            bids, residuals, check = reference_residuals(case, _scipy_dense(dense.pop()))
             np.testing.assert_array_equal(sol.bids, bids)
             np.testing.assert_array_equal(sol.residuals, residuals)
             assert sol.derivative_check == check
@@ -105,20 +131,118 @@ def test_one_array_hazard_call_per_solve(monkeypatch):
         return original(self, v)
 
     monkeypatch.setattr(ValueModel, "hazard", spy)
+    attempts = []
+    integrate = _dop853.integrate
+
+    def counting(stages, *args, **kwargs):
+        def counted(ts):
+            attempts.append(ts.size)
+            return stages(ts)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(_dop853, "integrate", counting)
     scn = FPAScenario(values=UNIT3, utility=CRRAUtility(0.5), grid=129)
-    solve_fpa(scn)
-    arrays = [shape for shape in calls if shape != ()]
-    assert arrays == [(scn.grid,)]
-    # a comparison integrates both schedules at once: one call per stage
-    # and one on the grid serve both
-    bent = replace(scn, transform=CARAUtility(1.0))
-    calls.clear()
-    solve_fpa(bent)
-    stages = len(calls)
-    calls.clear()
-    compare_risk_aversion_fpa(bent)
-    assert [shape for shape in calls if shape != ()] == [(scn.grid,)]
-    assert len(calls) < 1.5 * stages
+    # the start bid's scalar call, one call on the 15 abscissae of each
+    # step attempt, and one on the grid; a comparison integrates both
+    # schedules at once, so the same calls serve both
+    for solve, case in ((solve_fpa, scn), (solve_fpa, replace(scn, transform=CARAUtility(1.0))),
+                        (compare_risk_aversion_fpa, replace(scn, transform=CARAUtility(1.0)))):
+        calls.clear()
+        attempts.clear()
+        solve(case)
+        assert attempts and set(attempts) == {15}
+        assert calls == [()] + [(15,)] * len(attempts) + [(scn.grid,)]
+
+
+# ---------------------------------------------------------------------------
+# the stepper against scipy's solve_ivp
+# ---------------------------------------------------------------------------
+
+def reference_integration(scenario, utilities):
+    """scipy's ``solve_ivp(method="DOP853")`` on the joint equation, with a
+    right-hand side called one scalar stage at a time: the solver before
+    it had its own stepper.  The grid plays no part."""
+    vm, outside = scenario.values, scenario.outside
+    eps, v0, b0 = scenario.start_offset, scenario.start, scenario.boundary_bid
+    s0 = float(outside.value(v0))
+    lam0 = vm.hazard(v0)
+    y0 = [_start_bid(u, lam0, v0, s0, b0, eps, v0 - s0 - b0) for u in utilities]
+    memos = [(u, functools.lru_cache(maxsize=1)(u.value)) for u in utilities]
+
+    def rhs(v, y):
+        v = float(v)
+        s_v, lam = float(outside.value(v)), vm.hazard(v)
+        return [0.0 if v - b <= s_v else lam * _tradeoff_raw(u, v - b, s_v, value_s)
+                for (u, value_s), b in zip(memos, y.tolist())]
+
+    tol = max(5e-14, min(scenario.ode_tol, 1.0) * 1e-3)
+    sol = solve_ivp(rhs, (v0, vm.hi), y0, method="DOP853", dense_output=True, rtol=tol,
+                    atol=tol, first_step=min(eps / 4.0, vm.span / 1000.0))
+    assert sol.success, sol.message
+    return sol
+
+
+def reference_schedules(scenario, utilities, sol):
+    """(bids, residuals, derivative checks) on the scenario's grid from
+    :func:`reference_integration`'s dense output."""
+    vm, grid = scenario.values, scenario.report_grid()
+    s_grid, lam = np.asarray(scenario.outside.value(grid)), vm.hazard(grid)
+    bids = sol.sol(grid)
+    slopes = _interpolant_slope(sol.sol, grid, vm.span)
+    residuals, checks = [], []
+    for u, b, slope in zip(utilities, bids, slopes):
+        field_val = lam * _tradeoff_raw(u, grid - b, s_grid)
+        residuals.append(np.abs(slope - field_val))
+        checks.append(float(np.max((residuals[-1] / (1.0 + np.abs(field_val)))[1:-1])))
+    return bids, residuals, checks
+
+
+def test_tableau_is_scipys():
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        ours, theirs = getattr(_dop853, name), getattr(dop853_coefficients, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+
+
+def test_stepper_takes_solve_ivps_steps(monkeypatch):
+    # every comparison scenario, solved alone with and without the
+    # transform and jointly, at two grids: the same step points, and bids,
+    # residuals and checks that agree to 1e-12 (they are bit-equal today)
+    dense = _catch_dense(monkeypatch)
+    bases = set()  # the scenarios of one value model share their baseline
+    for name, scn in fpa_matrix():
+        u, uh = scn.utility, scn.effective_utility()
+        runs = [[uh], [u, uh]]
+        if str(scn.values.to_config()) not in bases:
+            bases.add(str(scn.values.to_config()))
+            runs.insert(0, [u])
+        for utilities in runs:
+            ref = reference_integration(scn, utilities)
+            for grid in (129, 1025):
+                case = replace(scn, grid=grid)
+                sols = _solve_joint(case, utilities)
+                assert np.array_equal(dense.pop().ts, ref.t), name
+                bids, residuals, checks = reference_schedules(case, utilities, ref)
+                for k, sol in enumerate(sols):
+                    assert np.max(np.abs(sol.bids - bids[k])) <= 1e-12, name
+                    assert np.max(np.abs(sol.residuals - residuals[k])) <= 1e-12, name
+                    assert abs(sol.derivative_check - checks[k]) <= 1e-12, name
+
+
+def test_stepper_stops_at_a_blow_up():
+    # y' = y^2, y(0) = 1 blows up at t = 1: the step size shrinks below the
+    # spacing of t there, and the stepper gives up as solve_ivp does
+    attempts = []
+
+    def stages(ts):
+        attempts.append(ts[0])
+        if len(attempts) > 10_000:
+            raise RuntimeError("the stepper does not stop")
+        return lambda i, y: [y[0] * y[0]]
+
+    with pytest.raises(SingularHazard, match="^integration failed: Required step size is less "
+                       "than spacing between numbers[.]$"):
+        _dop853.integrate(stages, 0.0, [1.0], [1.0], 2.0, first_step=1e-3, tol=1e-11)
+    assert abs(attempts[-1] - 1.0) < 1e-9
 
 
 def test_domain_breach_inside_integration_raises():

@@ -61,6 +61,19 @@ def test_crra_rejects_bad_rho():
         CRRAUtility(1.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 2.0, 3.7])
+def test_crra_float_derivative_matches_array_kernel(rho):
+    # a positive float skips numpy's error state, not its power; the closed
+    # edge keeps inf (0 ** -rho), rho = 0 gives 1 everywhere
+    u = CRRAUtility(rho)
+    zs = np.concatenate([[0.0, 1e-50, 1e-10, 0.5, 1.0, 2.0, 1e50],
+                         np.random.default_rng(7).uniform(0.0, 10.0, 500)])
+    kernel = u._du(zs)
+    for z, ref in zip(zs.tolist(), kernel):
+        assert np.float64(u._du(z)).tobytes() == ref.tobytes(), z
+    assert kernel[0] == (1.0 if rho == 0.0 else np.inf)
+
+
 def test_log_point_values():
     u = LogUtility(shift=1.0)
     assert u.value(0.0) == 0.0

@@ -211,8 +211,7 @@ def test_array_hazard_and_posterior_match_scalar_calls(m):
     np.testing.assert_array_equal(post.T, [m.posterior(v) for v in vs])
     grid = vs.reshape(37, 1)  # any shape, elementwise
     np.testing.assert_array_equal(m.hazard(grid), m.hazard(vs).reshape(37, 1))
-    # the float branches of the support check, cdf and posterior round
-    # exactly as the array path does
+    # a scalar of every kind rounds exactly as the array path does
     haz = m.hazard(vs)
     for i, v in enumerate(np.append(vs, [m.lo + 1e-9, m.hi, m.hi + 1e-12])):
         for x in scalar_kinds(v):

@@ -524,17 +524,31 @@ def test_audit_accepts_smallest_and_numpy_grid_sizes(fmt, fpa_pair, spa_pair):
     assert rep.to_json() == best_response_audit(fmt, scn, sol, 5, 64).to_json()
 
 
-def test_spa_audit_never_holds_the_whole_tensor():
+def _spa_audit_peak(types):
+    """(traced peak bytes of a 64-atom audit at grid 1025, bytes of one
+    (panels x 8 x atoms) float64 tensor)."""
     scn = SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=_TNORM64, grid=1025)
     sol = solve_spa(scn)
-    whole = 511 * 8 * 64 * 8  # bytes of one (panels x 8 x atoms) float64 tensor
-    best_response_audit("spa", scn, sol)  # warm caches outside the trace
+    best_response_audit("spa", scn, sol, type_grid_size=types)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        best_response_audit("spa", scn, sol)
+        best_response_audit("spa", scn, sol, type_grid_size=types)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, 511 * 8 * 64 * 8
+
+
+def test_spa_audit_never_holds_the_whole_tensor():
+    peak, whole = _spa_audit_peak(33)
+    assert peak < whole, (peak, whole)
+
+
+def test_spa_audit_holds_no_array_per_type_and_node():
+    # at 65 types one (types x panels x 8) float64 array is larger than the
+    # bound as well (at 33 it would fit under it)
+    peak, whole = _spa_audit_peak(65)
+    assert 65 * 511 * 8 * 8 > whole
     assert peak < whole, (peak, whole)
 
 
