@@ -3,11 +3,11 @@
 The outside option s(v) is what a bidder of type v consumes when she
 does not get the good.  The win payoff W describes what getting the
 good is worth: either exactly the type v, or v plus scaled noise that
-resolves after the auction.  Noise laws expose a fixed quadrature
-representation, so expectations reduce to dot products.  A discrete law
-is its own atoms.  A continuous law is a value marginal (``values``)
-plus fixed quadrature: the marginal's density on 64 Gauss-Legendre
-nodes of its support, renormalized, with inverse-cdf draws.
+resolves after the auction.  Noise laws expose quadrature rules, so
+expectations reduce to dot products.  A discrete law is its own atoms.
+A continuous law is a value marginal (``values``) plus its density on
+16, 32 or 64 Gauss-Legendre nodes of its support, renormalized, with
+inverse-cdf draws; ``spa`` picks the node count per scenario.
 """
 
 import numpy as np
@@ -96,8 +96,8 @@ class TableOutside(OutsideOption):
 
 
 class NoiseDist:
-    #: quadrature nodes and weights; weights sum to 1
-    def atoms(self):
+    #: quadrature nodes and weights (weights sum to 1); a continuous law takes ``order`` nodes
+    def atoms(self, order=_GL_ORDER):
         raise NotImplementedError
 
     def sample(self, rng, size):
@@ -121,7 +121,7 @@ class DiscreteNoise(NoiseDist):
         self.probs = probs / probs.sum()
         self.support = (float(points.min()), float(points.max()))
 
-    def atoms(self):
+    def atoms(self, order=_GL_ORDER):
         return self.points, self.probs
 
     def sample(self, rng, size):
@@ -139,26 +139,31 @@ class DiscreteNoise(NoiseDist):
 
 
 class _LawNoise(NoiseDist):
-    """Noise drawn from a value marginal: the law's density on 64
-    Gauss-Legendre nodes of its support, and inverse-cdf draws."""
+    """Noise drawn from a value marginal: inverse-cdf draws, and its
+    density on ``order`` Gauss-Legendre nodes of its support, renormalized
+    and built once per order (``None`` for a lower order with no mass)."""
 
     def __init__(self, law):
         self.law = law
         self.support = (law.lo, law.hi)
-        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-        mid, half = 0.5 * (law.hi + law.lo), 0.5 * (law.hi - law.lo)
-        self._pts = mid + half * x
-        pdf = law.pdf(self._pts)
-        mass = np.dot(w, pdf)
-        if not (mass > 0 and np.isfinite(mass)):
-            raise ConfigError(
-                f"{law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
-                "Gauss-Legendre nodes; widen the law or its support"
-            )
-        self._wts = w * pdf / mass  # remove the residual quadrature bias
+        self._rules = {}
+        self.atoms()
 
-    def atoms(self):
-        return self._pts, self._wts
+    def atoms(self, order=_GL_ORDER):
+        if order not in self._rules:
+            x, w = np.polynomial.legendre.leggauss(order)
+            pts = 0.5 * (self.law.hi + self.law.lo) + 0.5 * (self.law.hi - self.law.lo) * x
+            pdf = self.law.pdf(pts)
+            mass = np.dot(w, pdf)
+            ok = mass > 0 and np.isfinite(mass)
+            if not ok and order == _GL_ORDER:
+                raise ConfigError(
+                    f"{self.law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
+                    "Gauss-Legendre nodes; widen the law or its support"
+                )
+            # renormalizing removes the residual quadrature bias
+            self._rules[order] = (pts, w * pdf / mass) if ok else None
+        return self._rules[order]
 
     def sample(self, rng, size):
         return self.law.ppf(rng.random(size))

@@ -17,7 +17,8 @@ condition is one scalar equation per outside-option level s,
 and b(v) = v - x(s(v)).  M is increasing, and u(x + min o) <= M(x) <=
 u(x + max o), so the root lies in [s - max o, s - min o]; one array
 bisection over the distinct levels solves them all.  Under CARA, x is s
-less the noise's certainty equivalent (Pratt).
+less the noise's certainty equivalent (Pratt).  Continuous noise takes
+the fewest nodes that reproduce its 64-node mean (``_noise_rule``).
 The same logic covers the uniform-price auction selling several
 identical units at the highest losing bid: the pivotal event is again a
 tie at the bidder's own bid, so the bid function coincides with the
@@ -25,6 +26,7 @@ single-unit one.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, OrderingViolation, SolverWarning
 from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, check_monotone
-from .outcomes import DeterministicWin, WinPayoff
+from .outcomes import _GL_ORDER, DeterministicWin, WinPayoff, _LawNoise
 
 _MAX_BISECT = 200
 #: float64 elements per slab of a noise expectation's utility tensor.  A
@@ -41,6 +43,9 @@ _MAX_BISECT = 200
 #: glibc's 128 KiB mmap threshold and inside L2: freed slabs are reused
 #: from the heap instead of being mapped and page-faulted afresh.
 _SLAB = 1 << 13
+#: a smaller noise rule stays within this many eps * max(1, |M|) of the 64-node mean M;
+#: _PROBES surpluses check it at half that, leaving room for rounding between them
+_RULE_ULPS, _PROBES = 8.0, 513
 
 
 @dataclass
@@ -113,20 +118,62 @@ def _noise_mean_slab(u, v, b, offsets, weights):
     return out
 
 
+def _noise_rule(scenario, rule=None):
+    """(offsets, weights) of the scenario's noise mean, chosen once per
+    scenario object (again if one of its fields is replaced) unless
+    ``rule`` is given: for a continuous law, the fewest of 16, 32 and 64
+    Gauss-Legendre nodes that meet ``_RULE_ULPS`` under the base and the
+    effective utility on [min s - max o - (hi - lo), max s - min o +
+    (hi - lo)], which holds every bisection bracket, the comparison's
+    slack and every audit surplus v - t + x(s(t)).  Where the 64-node
+    mean is not finite there, 64 nodes.
+    """
+    key = tuple(getattr(scenario, f) for f in ("values", "outside", "utility", "transform",
+                                               "win_payoff", "grid"))
+    cached = getattr(scenario, "_rule", None)
+    if rule or cached is None or not all(map(operator.is_, cached[0], key)):
+        cached = scenario._rule = (key, rule or _choose_rule(scenario))
+    return cached[1]
+
+
+def _choose_rule(scenario):
+    wp = scenario.win_payoff
+    if not isinstance(getattr(wp, "noise", None), _LawNoise):
+        return wp.offsets()
+    *low, full = ((wp.scale * pts, wts) for pts, wts in
+                  filter(None, map(wp.noise.atoms, (16, 32, _GL_ORDER))))
+    span = np.ptp(scenario.values.support)
+    s = scenario.outside.value(scenario.report_grid())
+    x = np.linspace(np.min(s) - np.max(full[0]) - span, np.max(s) - np.min(full[0]) + span,
+                    _PROBES)
+    us = {scenario.utility, scenario.effective_utility()}  # one without a transform
+    # a mean overflowing to -inf near a domain edge keeps 64 nodes, silently
+    with np.errstate(over="ignore"):
+        ref = [_noise_mean(u, x, 0.0, *full) for u in us]
+        if not all(np.all(np.isfinite(m)) for m in ref):
+            return full
+        tol = [0.5 * _RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(m)) for m in ref]
+        for rule in low:
+            if all(np.all(np.abs(_noise_mean(u, x, 0.0, *rule) - m) <= t)
+                   for u, m, t in zip(us, ref, tol)):
+                return rule
+    return full
+
+
 def pivotal_expectation(scenario, v, b, utility=None):
     """Expected utility of winning at price b, conditional on being pivotal.
 
-    Averages u(W - b) over the win-payoff noise at type v, one value per
-    entry of v and b broadcast together (a float when both are scalars),
-    from ``masked_value`` passes over the (types x noise atoms) surplus:
-    ``-inf`` for a type with any noise atom outside the domain (even at
-    weight 0), as that bid is certainly too high.  The surplus is
+    Averages u(W - b) over the scenario's noise rule at type v, one value
+    per entry of v and b broadcast together (a float when both are
+    scalars), from ``masked_value`` passes over the (types x atoms)
+    surplus: ``-inf`` for a type with any atom outside the domain (even
+    at weight 0), as that bid is certainly too high.  The surplus is
     evaluated in fixed slabs of types, so a call on a fine grid with many
     atoms reuses a few cache-sized buffers instead of mapping (and
     page-faulting) a fresh multi-megabyte tensor per temporary.
     """
     u = scenario.effective_utility() if utility is None else utility
-    out = _noise_mean(u, v, b, *scenario.win_payoff.offsets())
+    out = _noise_mean(u, v, b, *_noise_rule(scenario))
     return out if out.ndim else float(out)
 
 
@@ -135,19 +182,19 @@ def solve_spa(scenario):
 
     One array bisection finds, for each distinct outside-option level s,
     the surplus x with M(x) = u(s) inside [s - max o, s - min o] (every
-    noise atom counts, weight 0 included); a type bids v - x(s(v)).  A
-    level whose root lies past the utility's domain edge is pinned at the
-    smallest finite x.  Returns an :class:`EquilibriumSolution` whose
-    ``residuals`` column holds the absolute indifference gap at each
-    solved bid, from one ``pivotal_expectation`` pass over the grid; a
-    type whose bid leaves the domain by a rounding reports the gap at its
-    level's x instead.
+    atom of the scenario's noise rule counts, weight 0 included); a type
+    bids v - x(s(v)).  A level whose root lies past the utility's domain
+    edge is pinned at the smallest finite x.  Returns an
+    :class:`EquilibriumSolution` whose ``residuals`` column holds the
+    absolute indifference gap at each solved bid, from one
+    ``pivotal_expectation`` pass over the grid; a type whose bid leaves
+    the domain by a rounding reports the gap at its level's x instead.
     """
     u = scenario.effective_utility()
     grid = scenario.report_grid()
     levels, inverse = np.unique(scenario.outside.value(grid), return_inverse=True)
     target = u.value(levels)
-    offsets, weights = scenario.win_payoff.offsets()
+    offsets, weights = _noise_rule(scenario)
     tol = scenario.root_tol
     resid_tol = tol * (1.0 + np.abs(target))
 
@@ -213,11 +260,14 @@ def compare_risk_aversion_spa(scenario):
 
     Also checks, type by type, that the transformed utility weakly
     prefers the outside option to winning at the baseline bid — the
-    one-sided condition behind the ordering.  Raises
+    one-sided condition behind the ordering.  Both solves and the check
+    take the noise rule of the scenario with the transform.  Raises
     :class:`OrderingViolation` (report attached) on failure.
     """
     uh = scenario._bent_utility()
-    base = solve_spa(replace(scenario, transform=None))
+    base_scenario = replace(scenario, transform=None)
+    _noise_rule(base_scenario, _noise_rule(scenario))
+    base = solve_spa(base_scenario)
     bent = solve_spa(scenario)
     grid = base.grid
     won = pivotal_expectation(scenario, grid, base.bids, utility=uh)

@@ -92,9 +92,11 @@ class Utility:
         nor warns.
         """
         z = np.asarray(x, dtype=float) + self.shift
-        ok = z > self.domain_lo if self.domain_open else z >= self.domain_lo
-        if np.all(ok):
+        # one reduction decides the common all-in-domain case; a NaN fails it
+        m = z.min() if z.size else np.inf
+        if m > self.domain_lo if self.domain_open else m >= self.domain_lo:
             return np.asarray(self._u(z), dtype=float)
+        ok = z > self.domain_lo if self.domain_open else z >= self.domain_lo
         out = np.full(z.shape, -np.inf)
         out[ok] = self._u(z[ok])
         return out

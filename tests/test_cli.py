@@ -22,6 +22,7 @@ from riskbid import (
 from riskbid.cli import main, read_solution_csv
 from riskbid.config import build_scenario
 from riskbid.errors import OrderingViolation
+from riskbid.spa import _noise_rule
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
@@ -91,6 +92,23 @@ def test_solve_round_trip_reproduces_exactly(tmp_path):
     # the meta file itself is a valid config that reproduces the run
     assert main(["solve", "--config", str(out1 / "meta.json"), "--out", str(out2)]) == 0
     assert (out1 / "solution.csv").read_text() == (out2 / "solution.csv").read_text()
+
+
+def test_sized_noise_quadrature_round_trip_and_audit(tmp_path):
+    # truncated-normal noise under a CRRA bend: the solver takes fewer than
+    # 64 nodes, chosen again from meta.json to the same bytes
+    doc = {**SPA_CFG, "transform": {"family": "crra", "rho": 0.5, "shift": 3.0},
+           "win_payoff": {"form": "additive_noise", "scale": 0.2,
+                          "noise": {"kind": "truncated_normal", "mu": 0.0, "sigma": 1.0,
+                                    "lo": -3.0, "hi": 3.0}}}
+    assert _noise_rule(build_scenario(doc)[1])[0].size < 64
+    cfg = write_cfg(tmp_path, doc)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["solve", "--config", str(out1 / "meta.json"), "--out", str(out2)]) == 0
+    assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+    assert main(["audit", "--config", str(out1 / "meta.json"), "--out", str(out1)]) == 0
+    assert json.loads((out1 / "audit.json").read_text())["passed"] is True
 
 
 def test_solve_uniform_format(tmp_path):

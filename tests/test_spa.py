@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from riskbid import (
     AffineOutside,
@@ -14,9 +17,12 @@ from riskbid import (
     ConfigError,
     ConstantOutside,
     CRRAUtility,
+    DeterministicWin,
     DiscreteNoise,
     LinearUtility,
+    LogUtility,
     NoisyWin,
+    PiecewiseLinearUtility,
     SolverWarning,
     SPAScenario,
     TruncatedNormalNoise,
@@ -88,7 +94,7 @@ def reference_bracket(scenario):
     probe = np.linspace(lo, hi, 257)
     s_abs = float(np.max(np.abs(np.asarray(scenario.outside.value(probe)))))
     wp = scenario.win_payoff
-    offsets, weights = wp.offsets()
+    offsets, weights = spa._noise_rule(scenario)  # the solver's noise rule
     span = wp.scale * np.ptp(wp.noise.support) if isinstance(wp, NoisyWin) else 0.0
     pad = s_abs + abs(float(np.dot(weights, offsets))) + 1.5 * span + 1e-9 * max(1.0, hi - lo)
     return lo - pad, hi + pad
@@ -147,7 +153,7 @@ def test_scenario_validation():
 
 
 # ---------------------------------------------------------------------------
-# continuous noise laws: a value marginal on 64 fixed nodes
+# continuous noise laws: a value marginal on 16, 32 or 64 nodes
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -159,10 +165,12 @@ def test_scenario_validation():
     ids=["uniform", "truncated_normal"],
 )
 def test_continuous_noise_atoms_and_draws(noise, mean, direct):
-    pts, wts = noise.atoms()
-    assert pts.shape == wts.shape == (64,)
-    assert np.all(wts > 0) and wts.sum() == pytest.approx(1.0, abs=1e-15)
-    assert abs(np.dot(wts, pts) - mean) <= 1e-14
+    assert noise.atoms() is noise.atoms(64)  # each order's rule is built once
+    for order in (16, 32, 64):
+        pts, wts = noise.atoms(order)
+        assert pts.shape == wts.shape == (order,), order
+        assert np.all(wts > 0) and wts.sum() == pytest.approx(1.0, abs=1e-15), order
+        assert abs(np.dot(wts, pts) - mean) <= 1e-14, order
     lo, hi = noise.support
     draws = noise.sample(np.random.default_rng(7), 10_000)
     assert np.all((draws >= lo) & (draws <= hi))
@@ -174,6 +182,20 @@ def test_continuous_noise_needs_quadrature_mass():
     # all mass within 1e-9 of 0.5, between the nodes: pdf is 0 at every node
     with pytest.raises(ConfigError, match="quadrature mass 0 on its 64 Gauss-Legendre nodes"):
         TruncatedNormalNoise(0.5, 1e-10, 0.0, 1.0)
+
+
+def test_lower_order_without_quadrature_mass_is_skipped():
+    # all mass within 1e-3 of the 64-node abscissa of [-1, 1] farthest from
+    # the 16 and 32 nodes, where the pdf underflows to 0
+    x16, x32, x64 = (np.polynomial.legendre.leggauss(n)[0] for n in (16, 32, 64))
+    gap = np.minimum(*(np.min(np.abs(x64[:, None] - x), axis=1) for x in (x16, x32)))
+    assert gap.max() > 100 * 2e-4
+    mu = x64[np.argmax(gap)]
+    noise = TruncatedNormalNoise(mu, 2e-4, -1.0, 1.0)
+    assert noise.atoms(16) is None and noise.atoms(32) is None
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(1.0),
+                      win_payoff=NoisyWin(noise, scale=0.2), grid=64)
+    assert spa._noise_rule(scn)[0].size == 64
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +229,7 @@ def test_pivotal_expectation_array_evaluates_inner_once():
                       transform=CARAUtility(1.0),
                       win_payoff=NoisyWin(TruncatedNormalNoise(0.0, 1.0, -3.0, 3.0), scale=0.2))
     u = scn.effective_utility()
+    spa._noise_rule(scn)  # the scenario's one-off choice of rule is not this pass
     calls = []
     kernel = u.inner._u
     u.inner._u = lambda z: calls.append(z.shape) or kernel(z)
@@ -255,7 +278,7 @@ def test_cara_shading_closed_form(win_payoff, s0, shift):
     scn = SPAScenario(values=UNIT3, utility=CARAUtility(alpha, shift=shift),
                       outside=ConstantOutside(s0), win_payoff=win_payoff)
     sol = solve_spa(scn)
-    offsets, weights = win_payoff.offsets()
+    offsets, weights = spa._noise_rule(scn)  # the solver's noise rule
     shade = s0 + math.log(np.dot(weights, np.exp(-alpha * offsets))) / alpha
     np.testing.assert_allclose(sol.grid - sol.bids, shade, rtol=0.0, atol=1e-9)
 
@@ -544,3 +567,111 @@ def test_pivotal_expectation_never_holds_the_whole_tensor():
     finally:
         tracemalloc.stop()
     assert peak < whole, (peak, whole)
+
+
+# ---------------------------------------------------------------------------
+# sized noise quadrature: the fewest nodes that reproduce the 64-node mean
+# ---------------------------------------------------------------------------
+
+def _tnorm_pdf(mu, sigma, lo, hi):
+    """The truncated-normal density, written on ``math.erf``."""
+    def cdf(z):
+        return 0.5 * (1.0 + math.erf((z - mu) / (sigma * math.sqrt(2.0))))
+
+    norm = sigma * math.sqrt(2.0 * math.pi) * (cdf(hi) - cdf(lo))
+    return lambda z: math.exp(-0.5 * ((z - mu) / sigma) ** 2) / norm
+
+
+@pytest.mark.parametrize("law", [(0.0, 1.0, -3.0, 3.0), (0.3, 0.7, -2.0, 2.5)],
+                         ids=["tn_sym", "tn_skew"])
+@pytest.mark.parametrize("alpha, scale", [(0.5, 0.1), (2.0, 0.3), (3.0, 0.1)])
+def test_cara_bids_match_continuous_noise_oracle(law, alpha, scale):
+    # Pratt: a CARA bidder bids b = v - s - log E[exp(-alpha scale o)] / alpha,
+    # the expectation over the truncated normal itself by adaptive quad
+    s0 = 0.2
+    pdf = _tnorm_pdf(*law)
+    mgf, err = quad(lambda o: math.exp(-alpha * scale * o) * pdf(o), law[2], law[3],
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    # quad's own error estimate is about 1e-14 relative on these laws
+    assert err <= 1e-13 * mgf
+    x_exact = s0 + math.log(mgf) / alpha
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(alpha, shift=0.5),
+                      outside=ConstantOutside(s0),
+                      win_payoff=NoisyWin(TruncatedNormalNoise(*law), scale))
+    sol = solve_spa(scn)
+    assert np.max(np.abs(sol.bids - (sol.grid - x_exact))) <= scn.root_tol
+    # the chosen rule's certainty equivalent, like the 64-node one, is
+    # exact to within the oracle's own error
+    for offsets, weights in (spa._noise_rule(scn), scn.win_payoff.offsets()):
+        x_rule = s0 + math.log(np.dot(weights, np.exp(-alpha * offsets))) / alpha
+        assert abs(x_rule - x_exact) <= err / mgf / alpha + 4 * np.spacing(x_exact)
+
+
+_SHIFT = st.floats(0.0, 3.0)
+_UTILITIES = st.one_of(
+    st.builds(LinearUtility, _SHIFT),
+    st.builds(CRRAUtility, st.floats(0.0, 3.0).filter(lambda rho: rho != 1.0), _SHIFT),
+    st.builds(LogUtility, _SHIFT),
+    st.builds(CARAUtility, st.floats(0.1, 4.0), _SHIFT),
+    st.builds(lambda x, m0, m1, shift: PiecewiseLinearUtility([(x, max(m0, m1)),
+                                                              (x + 1.0, min(m0, m1))], shift),
+              st.floats(-3.0, 3.0), st.floats(0.2, 4.0), st.floats(0.2, 4.0), _SHIFT),
+)
+_LAWS = st.one_of(
+    st.builds(UniformNoise, st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
+    st.builds(TruncatedNormalNoise, st.floats(-1.0, 1.0), st.floats(0.05, 3.0),
+              st.floats(-4.0, -0.5), st.floats(0.5, 4.0)),
+)
+_OUTSIDES = st.one_of(
+    st.builds(ConstantOutside, st.floats(-0.5, 0.5)),
+    st.builds(AffineOutside, st.floats(-0.5, 0.5), st.floats(0.0, 0.9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=_LAWS, scale=st.floats(0.02, 0.5), utility=_UTILITIES,
+       transform=st.none() | _UTILITIES, outside=_OUTSIDES, seed=st.integers(0, 2**32 - 1))
+def test_noise_rule_reproduces_the_64_node_mean(law, scale, utility, transform, outside, seed):
+    scn = SPAScenario(values=UNIT3, utility=utility, transform=transform, outside=outside,
+                      win_payoff=NoisyWin(law, scale), grid=64)
+    rule = spa._noise_rule(scn)
+    offsets, weights = scn.win_payoff.offsets()
+    s = scn.outside.value(scn.report_grid())
+    lo, hi = np.min(s) - np.max(offsets) - 1.0, np.max(s) - np.min(offsets) + 1.0
+    x = np.random.default_rng(seed).uniform(lo, hi, 200)
+    x = np.append(x[~np.isin(x, np.linspace(lo, hi, spa._PROBES))], lo)  # off the probes
+    for u in (scn.utility, scn.effective_utility()):
+        with np.errstate(over="ignore"):  # near a domain edge a CARA layer overflows to -inf
+            full = spa._noise_mean(u, x, 0.0, offsets, weights)
+            got = spa._noise_mean(u, x, 0.0, *rule)
+        if not np.all(np.isfinite(full)):
+            assert rule[0].size == 64
+        bound = spa._RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(full))
+        assert got.tobytes() == full.tobytes() or np.all(np.abs(got - full) <= bound)
+
+
+def test_noise_rule_is_chosen_once_per_scenario(monkeypatch):
+    scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=TNORM64, grid=129)
+    calls = []
+    choose = spa._choose_rule
+    monkeypatch.setattr(spa, "_choose_rule", lambda s: calls.append(s) or choose(s))
+    rule = spa._noise_rule(scn)
+    assert rule[0].size < 64  # a smooth bend on smooth noise needs fewer nodes
+    sol = solve_spa(scn)
+    compare_risk_aversion_spa(scn)
+    pivotal_expectation(scn, sol.grid, sol.bids)
+    assert calls == [scn]
+    # the base solve of a comparison takes the transformed scenario's rule
+    assert spa._noise_rule(scn) is rule
+    # a replaced field, or a new scenario, chooses again
+    scn.transform = CRRAUtility(0.5, shift=0.3)
+    assert spa._noise_rule(scn)[0].size == 64 and len(calls) == 2
+    spa._noise_rule(replace(scn, grid=257))
+    assert len(calls) == 3
+
+
+def test_discrete_and_deterministic_payoffs_keep_their_atoms():
+    for win in (NoisyWin(TWO_POINT, scale=0.2), DeterministicWin()):
+        scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=win, grid=64)
+        for got, own in zip(spa._noise_rule(scn), win.offsets()):
+            assert got.tobytes() == own.tobytes()

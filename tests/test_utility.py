@@ -354,6 +354,34 @@ def test_masked_value_composed_breaches_both_layers():
         )
 
 
+def _mask_and_all(u, x):
+    """``masked_value`` as it decided the all-in-domain case before: one
+    boolean mask over every entry, then ``np.all``."""
+    if isinstance(u, ComposedUtility):
+        return _mask_and_all(u.outer, _mask_and_all(u.inner, x))
+    z = np.asarray(x, dtype=float) + u.shift
+    ok = z > u.domain_lo if u.domain_open else z >= u.domain_lo
+    if np.all(ok):
+        return np.asarray(u._u(z), dtype=float)
+    out = np.full(z.shape, -np.inf)
+    out[ok] = u._u(z[ok])
+    return out
+
+
+@pytest.mark.parametrize("u", FAMILIES + COMPOSED, ids=lambda u: repr(u))
+def test_masked_value_matches_mask_and_all_path(u):
+    # one min() decides the all-in-domain case; the outputs keep their bits
+    lo = u.domain_lo - u.shift if np.isfinite(u.domain_lo) else 0.0
+    x = lo + np.linspace(-2.0, 3.0, 41)  # breaches a bounded domain
+    inside = x[x > lo + 0.5]
+    cases = [x, x.reshape(41, 1)[::-1], inside, inside.reshape(2, -1)[:, :3], x[-1],
+             np.insert(inside, 3, np.nan), np.insert(x, 40, np.nan), np.array([np.nan]),
+             np.nan, np.empty(0), np.empty((0, 3)), np.array([np.inf, 1e300]) + lo]
+    for case in cases:
+        got, ref = u.masked_value(case), _mask_and_all(u, case)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), case
+
+
 def test_effective_utility_passthrough():
     u = LinearUtility()
     assert effective_utility(u, None) is u

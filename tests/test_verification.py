@@ -33,7 +33,7 @@ from riskbid import (
     solve_uniform_price,
     spa_report_utility,
 )
-from riskbid.spa import _SLAB
+from riskbid.spa import _SLAB, _noise_rule
 from riskbid.verification import _GL8_NODES, _GL8_WEIGHTS, _ROUNDING_GAIN
 
 U2 = ValueModel.iid(UniformDist(0.0, 1.0), 2)
@@ -54,7 +54,7 @@ def spa_report_utility_quad(scenario, solution, v, t):
         return u_s
     units = scenario.units
     q = float(vm.kth_win_prob(units, v, t))
-    offsets, wts = scenario.win_payoff.offsets()
+    offsets, wts = _noise_rule(scenario)  # the solver's noise rule
 
     def integrand(z):
         b = float(solution.bid_at(z))
@@ -75,7 +75,7 @@ def reference_spa_report_utility(scenario, solution, v, t):
     vm = scenario.values
     units = scenario.units
     lo, hi = vm.support
-    offsets, wts = scenario.win_payoff.offsets()
+    offsets, wts = _noise_rule(scenario)  # the solver's noise rule
     u_s = float(u.value(scenario.outside.value(v)))
 
     t = np.clip(np.asarray(t, dtype=float), lo, hi)
@@ -239,7 +239,7 @@ _TNORM64 = NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.1)
 
 def _slab_panels(scenario):
     """Report panels per slab of the (panels x 8 x atoms) utility tensor."""
-    return _SLAB // (8 * scenario.win_payoff.offsets()[0].size)
+    return _SLAB // (8 * _noise_rule(scenario)[0].size)
 
 
 @pytest.mark.parametrize(
