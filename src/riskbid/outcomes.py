@@ -6,8 +6,8 @@ good is worth: either exactly the type v, or v plus scaled noise that
 resolves after the auction.  Noise laws expose quadrature rules, so
 expectations reduce to dot products.  A discrete law is its own atoms.
 A continuous law is a value marginal (``values``) plus its density on
-16, 32 or 64 Gauss-Legendre nodes of its support, renormalized, with
-inverse-cdf draws; ``spa`` picks the node count per scenario.
+64 (or 32, where ``spa`` finds that enough) Gauss-Legendre nodes of its
+support, renormalized, with inverse-cdf draws.
 """
 
 import numpy as np
@@ -96,8 +96,9 @@ class TableOutside(OutsideOption):
 
 
 class NoiseDist:
-    #: quadrature nodes and weights (weights sum to 1); a continuous law takes ``order`` nodes
-    def atoms(self, order=_GL_ORDER):
+    lower_orders = ()  # node counts that ``atoms(order)`` offers below its default rule
+    #: quadrature nodes and weights; weights sum to 1
+    def atoms(self):
         raise NotImplementedError
 
     def sample(self, rng, size):
@@ -121,7 +122,7 @@ class DiscreteNoise(NoiseDist):
         self.probs = probs / probs.sum()
         self.support = (float(points.min()), float(points.max()))
 
-    def atoms(self, order=_GL_ORDER):
+    def atoms(self):
         return self.points, self.probs
 
     def sample(self, rng, size):
@@ -139,9 +140,10 @@ class DiscreteNoise(NoiseDist):
 
 
 class _LawNoise(NoiseDist):
-    """Noise drawn from a value marginal: inverse-cdf draws, and its
-    density on ``order`` Gauss-Legendre nodes of its support, renormalized
-    and built once per order (``None`` for a lower order with no mass)."""
+    """Noise drawn from a value marginal: inverse-cdf draws, and its density on
+    ``order`` Gauss-Legendre nodes, renormalized, built once (``None`` if no mass)."""
+
+    lower_orders = (32,)
 
     def __init__(self, law):
         self.law = law
@@ -161,8 +163,7 @@ class _LawNoise(NoiseDist):
                     f"{self.law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
                     "Gauss-Legendre nodes; widen the law or its support"
                 )
-            # renormalizing removes the residual quadrature bias
-            self._rules[order] = (pts, w * pdf / mass) if ok else None
+            self._rules[order] = (pts, w * pdf / mass) if ok else None  # bias renormalized away
         return self._rules[order]
 
     def sample(self, rng, size):
@@ -197,6 +198,7 @@ class TruncatedNormalNoise(_LawNoise):
 class WinPayoff:
     """Value of getting the good for type v: W = v + scale * noise."""
 
+    lower_orders = ()  # node counts that ``offsets(order)`` offers below its default rule
     def offsets(self):
         """(offsets, weights): W takes value v + offset with the given weight."""
         raise NotImplementedError
@@ -229,10 +231,12 @@ class NoisyWin(WinPayoff):
             raise ConfigError(f"noise scale must be >= 0, got {scale}")
         self.noise = noise
         self.scale = scale
+        self.lower_orders = noise.lower_orders
 
-    def offsets(self):
-        pts, wts = self.noise.atoms()
-        return self.scale * pts, wts
+    def offsets(self, order=None):
+        """The noise's default rule or its ``order``-node one, scaled."""
+        rule = self.noise.atoms() if order is None else self.noise.atoms(order)
+        return None if rule is None else (self.scale * rule[0], rule[1])
 
     def sample(self, rng, v):
         v = np.asarray(v, dtype=float)

@@ -17,8 +17,7 @@ condition is one scalar equation per outside-option level s,
 and b(v) = v - x(s(v)).  M is increasing, and u(x + min o) <= M(x) <=
 u(x + max o), so the root lies in [s - max o, s - min o]; one array
 bisection over the distinct levels solves them all.  Under CARA, x is s
-less the noise's certainty equivalent (Pratt).  Continuous noise takes
-the fewest nodes that reproduce its 64-node mean (``_noise_rule``).
+less the noise's certainty equivalent (Pratt).
 The same logic covers the uniform-price auction selling several
 identical units at the highest losing bid: the pivotal event is again a
 tie at the bidder's own bid, so the bid function coincides with the
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, OrderingViolation, SolverWarning
 from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, check_monotone
-from .outcomes import _GL_ORDER, DeterministicWin, WinPayoff, _LawNoise
+from .outcomes import DeterministicWin, WinPayoff
 
 _MAX_BISECT = 200
 #: float64 elements per slab of a noise expectation's utility tensor.  A
@@ -43,9 +42,10 @@ _MAX_BISECT = 200
 #: glibc's 128 KiB mmap threshold and inside L2: freed slabs are reused
 #: from the heap instead of being mapped and page-faulted afresh.
 _SLAB = 1 << 13
-#: a smaller noise rule stays within this many eps * max(1, |M|) of the 64-node mean M;
+#: a lower-order noise rule stays within this many eps * max(1, |M|) of the default mean M;
 #: _PROBES surpluses check it at half that, leaving room for rounding between them
 _RULE_ULPS, _PROBES = 8.0, 513
+_RULE_KEY = operator.attrgetter("values", "outside", "utility", "transform", "win_payoff", "grid")
 
 
 @dataclass
@@ -118,36 +118,38 @@ def _noise_mean_slab(u, v, b, offsets, weights):
     return out
 
 
-def _noise_rule(scenario, rule=None):
-    """(offsets, weights) of the scenario's noise mean, chosen once per
-    scenario object (again if one of its fields is replaced) unless
-    ``rule`` is given: for a continuous law, the fewest of 16, 32 and 64
-    Gauss-Legendre nodes that meet ``_RULE_ULPS`` under the base and the
-    effective utility on [min s - max o - (hi - lo), max s - min o +
-    (hi - lo)], which holds every bisection bracket, the comparison's
-    slack and every audit surplus v - t + x(s(t)).  Where the 64-node
-    mean is not finite there, 64 nodes.
-    """
-    key = tuple(getattr(scenario, f) for f in ("values", "outside", "utility", "transform",
-                                               "win_payoff", "grid"))
-    cached = getattr(scenario, "_rule", None)
-    if rule or cached is None or not all(map(operator.is_, cached[0], key)):
-        cached = scenario._rule = (key, rule or _choose_rule(scenario))
-    return cached[1]
+def _noise_rule(scenario):
+    """(offsets, weights) of the scenario's noise mean: ``_choose_rule``'s
+    pick, made once per scenario object (again once a field it reads is
+    replaced), or the rule ``_pin_rule`` set."""
+    key, rule = getattr(scenario, "_rule", ((), None))
+    if rule is None or not all(map(operator.is_, key, _RULE_KEY(scenario))):
+        _pin_rule(scenario, rule := _choose_rule(scenario))
+    return rule
+
+
+def _pin_rule(scenario, rule):
+    """The scenario, with ``rule`` as its noise rule until a field is replaced."""
+    scenario._rule = (_RULE_KEY(scenario), rule)
+    return scenario
 
 
 def _choose_rule(scenario):
+    """The fewest nodes the win payoff offers that meet ``_RULE_ULPS`` under
+    the base and the effective utility on [min s - max o - (hi - lo), max s
+    - min o + (hi - lo)], which holds every bisection bracket, the slack
+    and every audit surplus; the default rule where its mean is not finite."""
     wp = scenario.win_payoff
-    if not isinstance(getattr(wp, "noise", None), _LawNoise):
-        return wp.offsets()
-    *low, full = ((wp.scale * pts, wts) for pts, wts in
-                  filter(None, map(wp.noise.atoms, (16, 32, _GL_ORDER))))
+    full = wp.offsets()
+    low = [rule for rule in map(wp.offsets, wp.lower_orders) if rule is not None]
+    if not low:
+        return full
     span = np.ptp(scenario.values.support)
     s = scenario.outside.value(scenario.report_grid())
     x = np.linspace(np.min(s) - np.max(full[0]) - span, np.max(s) - np.min(full[0]) + span,
                     _PROBES)
     us = {scenario.utility, scenario.effective_utility()}  # one without a transform
-    # a mean overflowing to -inf near a domain edge keeps 64 nodes, silently
+    # a mean overflowing to -inf near a domain edge keeps the default rule, silently
     with np.errstate(over="ignore"):
         ref = [_noise_mean(u, x, 0.0, *full) for u in us]
         if not all(np.all(np.isfinite(m)) for m in ref):
@@ -265,9 +267,7 @@ def compare_risk_aversion_spa(scenario):
     :class:`OrderingViolation` (report attached) on failure.
     """
     uh = scenario._bent_utility()
-    base_scenario = replace(scenario, transform=None)
-    _noise_rule(base_scenario, _noise_rule(scenario))
-    base = solve_spa(base_scenario)
+    base = solve_spa(_pin_rule(replace(scenario, transform=None), _noise_rule(scenario)))
     bent = solve_spa(scenario)
     grid = base.grid
     won = pivotal_expectation(scenario, grid, base.bids, utility=uh)

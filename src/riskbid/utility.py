@@ -92,8 +92,7 @@ class Utility:
         nor warns.
         """
         z = np.asarray(x, dtype=float) + self.shift
-        # one reduction decides the common all-in-domain case; a NaN fails it
-        m = z.min() if z.size else np.inf
+        m = z.min() if z.size else np.inf  # decides the common all-in case; a NaN fails it
         if m > self.domain_lo if self.domain_open else m >= self.domain_lo:
             return np.asarray(self._u(z), dtype=float)
         ok = z > self.domain_lo if self.domain_open else z >= self.domain_lo

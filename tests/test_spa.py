@@ -153,7 +153,7 @@ def test_scenario_validation():
 
 
 # ---------------------------------------------------------------------------
-# continuous noise laws: a value marginal on 16, 32 or 64 nodes
+# continuous noise laws: a value marginal on Gauss-Legendre nodes
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -193,6 +193,7 @@ def test_lower_order_without_quadrature_mass_is_skipped():
     mu = x64[np.argmax(gap)]
     noise = TruncatedNormalNoise(mu, 2e-4, -1.0, 1.0)
     assert noise.atoms(16) is None and noise.atoms(32) is None
+    assert NoisyWin(noise, scale=0.2).offsets(32) is None
     scn = SPAScenario(values=UNIT3, utility=CARAUtility(1.0),
                       win_payoff=NoisyWin(noise, scale=0.2), grid=64)
     assert spa._noise_rule(scn)[0].size == 64
@@ -504,12 +505,15 @@ def test_pivotal_expectation_array_is_minus_inf_out_of_domain():
 # ---------------------------------------------------------------------------
 
 TNORM64 = NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.2)
+#: a transform whose lower-order noise means miss the 64-node one near its
+#: domain edge, so the solver keeps all 64 atoms
+EDGE64 = CRRAUtility(0.5, shift=0.3)
 
 
 def test_slabbed_solve_matches_scalar_reference():
-    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0),
-                      win_payoff=TNORM64, grid=1025)
-    assert scn.grid * 64 >= 4 * _SLAB
+    scn = SPAScenario(values=UNIT3, transform=EDGE64, win_payoff=TNORM64, grid=1025)
+    atoms = spa._noise_rule(scn)[0].size
+    assert atoms == 64 and scn.grid * atoms >= 4 * _SLAB
     assert_matches_reference(scn, solve_spa(scn))
 
 
@@ -520,7 +524,7 @@ def test_slabbed_solve_matches_scalar_reference():
         CARAUtility(1.5),
         # the level is pinned at the domain edge; the solved bids keep every
         # row of the residual pass inside the domain
-        CRRAUtility(0.5, shift=0.3),
+        EDGE64,
     ],
     ids=["crra", "cara", "crra_domain_edge"],
 )
@@ -554,11 +558,12 @@ def test_slabbed_pivotal_expectation_within_4_ulp():
 
 
 def test_pivotal_expectation_never_holds_the_whole_tensor():
-    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0), win_payoff=TNORM64,
-                      grid=1025)
+    scn = SPAScenario(values=UNIT3, transform=EDGE64, win_payoff=TNORM64, grid=1025)
     v = scn.report_grid()
-    b = 0.8 * v
-    whole = v.size * 64 * 8  # bytes of one (types x atoms) float64 tensor
+    b = 0.8 * v - 0.2  # every row inside the domain
+    atoms = spa._noise_rule(scn)[0].size
+    assert atoms == 64
+    whole = v.size * atoms * 8  # bytes of one (types x atoms) float64 tensor
     pivotal_expectation(scn, v, b)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -671,7 +676,9 @@ def test_noise_rule_is_chosen_once_per_scenario(monkeypatch):
 
 
 def test_discrete_and_deterministic_payoffs_keep_their_atoms():
+    assert TNORM64.lower_orders == (32,)
     for win in (NoisyWin(TWO_POINT, scale=0.2), DeterministicWin()):
+        assert win.lower_orders == ()
         scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=win, grid=64)
         for got, own in zip(spa._noise_rule(scn), win.offsets()):
             assert got.tobytes() == own.tobytes()

@@ -235,6 +235,9 @@ def test_report_utility_out_of_domain_is_minus_inf():
 
 #: 64 atoms, the continuous-noise quadrature
 _TNORM64 = NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.1)
+#: a transform under which the solver keeps all 64 atoms: the lower-order
+#: noise mean misses the 64-node one near its domain edge
+_EDGE64 = CRRAUtility(0.5, shift=0.3)
 
 
 def _slab_panels(scenario):
@@ -281,10 +284,12 @@ def test_spa_report_utility_slabs_match_whole_tensor_across_breach(where):
 
 
 def test_spa_report_utility_never_holds_the_whole_tensor():
-    scn = SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=_TNORM64, grid=129)
+    scn = SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64, grid=129)
     sol = solve_spa(scn)
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 512), [0.37]]))  # an audit sweep
-    whole = (ts.size - 1) * 8 * 64 * 8  # bytes of one (panels x 8 x atoms) float64 tensor
+    atoms = _noise_rule(scn)[0].size
+    assert atoms == 64
+    whole = (ts.size - 1) * 8 * atoms * 8  # bytes of one (panels x 8 x atoms) float64 tensor
     spa_report_utility(scn, sol, 0.37, ts)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -527,7 +532,9 @@ def test_audit_accepts_smallest_and_numpy_grid_sizes(fmt, fpa_pair, spa_pair):
 def _spa_audit_peak(types):
     """(traced peak bytes of a 64-atom audit at grid 1025, bytes of one
     (panels x 8 x atoms) float64 tensor)."""
-    scn = SPAScenario(values=U3, transform=CARAUtility(2.0), win_payoff=_TNORM64, grid=1025)
+    scn = SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64, grid=1025)
+    atoms = _noise_rule(scn)[0].size
+    assert atoms == 64
     sol = solve_spa(scn)
     best_response_audit("spa", scn, sol, type_grid_size=types)  # warm caches outside the trace
     tracemalloc.start()
@@ -536,7 +543,7 @@ def _spa_audit_peak(types):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, 511 * 8 * 64 * 8
+    return peak, 511 * 8 * atoms * 8
 
 
 def test_spa_audit_never_holds_the_whole_tensor():
