@@ -45,6 +45,7 @@ from scipy.optimize import brentq
 from . import _dop853
 from .errors import (
     ConfigError,
+    DomainError,
     NonmonotoneSolution,
     NonpositiveSurplus,
     OrderingViolation,
@@ -102,7 +103,7 @@ def closed_form_crra_uniform(n, rho):
     return (n - 1) / (n - rho)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Scenario:
     """What both formats share: the environment, a utility with an optional
     concave ``transform`` on top (solvers optimize the composition) and the
@@ -128,7 +129,7 @@ class _Scenario:
         return self.effective_utility()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FPAScenario(_Scenario):
     """A first-price environment plus solver knobs.
 
@@ -147,14 +148,14 @@ class FPAScenario(_Scenario):
         lo, hi = self.values.support
         span = hi - lo
         if self.start_offset is None:
-            self.start_offset = START_OFFSET_FACTOR * span
+            object.__setattr__(self, "start_offset", START_OFFSET_FACTOR * span)
         if not 0 < self.start_offset < span / 2:
             raise ConfigError(
                 f"start offset must be in (0, {span / 2:g}), got {self.start_offset}"
             )
         zero_surplus = lo - float(self.outside.value(lo))
         if self.boundary_bid is None:
-            self.boundary_bid = zero_surplus
+            object.__setattr__(self, "boundary_bid", zero_surplus)
         if self.boundary_bid > zero_surplus + _BOUNDARY_TOL:
             raise ConfigError(
                 f"boundary bid {self.boundary_bid:g} exceeds the zero-surplus "
@@ -388,6 +389,21 @@ def check_monotone(bids, _stacklevel=3):
     return monotone
 
 
+def _check_outside(u, s):
+    """Raise ``DomainError``, before any warning, naming u and the top level in s
+    where u is not finite inside its domain, as where an outer CARA overflows.  u
+    rises on a half-line, so that level tells an overflow from a domain breach,
+    which is left to raise where a solver meets it."""
+    with np.errstate(over="ignore"):
+        bad = s[~np.isfinite(u.masked_value(s))]
+        try:
+            finite = bad.size == 0 or np.isfinite(u.value(bad.max()))
+        except DomainError:
+            finite = True
+    if not finite:
+        raise DomainError(f"{u!r} is not finite at the outside option s = {bad.max():g}")
+
+
 def _start_bid(u, lam0, v0, s0, b0, eps, cap):
     """The bid at the regularized start from the implicit micro-step."""
 
@@ -424,6 +440,10 @@ def _solve_joint(scenario, utilities):
     v0 = scenario.start
     b0 = scenario.boundary_bid
 
+    grid = scenario.report_grid()
+    s_grid = np.asarray(outside.value(grid))
+    for u in utilities:
+        _check_outside(u, s_grid)
     s0 = float(outside.value(v0))
     cap = v0 - s0 - b0
     if cap <= 0:
@@ -453,10 +473,7 @@ def _solve_joint(scenario, utilities):
         first_step=min(eps / 4.0, span / 1000.0), tol=tol_int,
     )
 
-    grid = scenario.report_grid()
     all_bids = dense(grid)
-
-    s_grid = np.asarray(outside.value(grid))
     if np.any(grid - s_grid - all_bids <= 0):
         raise SingularHazard("bid function reached the zero-surplus frontier")
 
@@ -490,10 +507,10 @@ def solve_fpa(scenario):
     """Solve the first-price ODE for the scenario's effective utility.
 
     Returns an :class:`EquilibriumSolution` on the scenario's reporting
-    grid.  Raises ``SingularHazard`` when the boundary cannot be
-    resolved, ``DomainError`` when the utility domain is breached during
-    integration, and ``NonmonotoneSolution`` when the solved bids
-    decrease over more than two grid cells.
+    grid.  Raises ``SingularHazard`` when the boundary cannot be resolved,
+    ``DomainError`` when the utility domain is breached during integration
+    or u is not finite at an outside-option level of the grid, and
+    ``NonmonotoneSolution`` when the bids decrease over more than two cells.
 
     Each step attempt of the integrator evaluates the hazard and the
     outside option in one array call; each stage checks the utility

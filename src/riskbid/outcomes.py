@@ -141,30 +141,27 @@ class DiscreteNoise(NoiseDist):
 
 class _LawNoise(NoiseDist):
     """Noise drawn from a value marginal: inverse-cdf draws, and its density on
-    ``order`` Gauss-Legendre nodes, renormalized, built once (``None`` if no mass)."""
+    ``order`` Gauss-Legendre nodes, renormalized (``None`` if no mass)."""
 
     lower_orders = (32,)
 
     def __init__(self, law):
         self.law = law
         self.support = (law.lo, law.hi)
-        self._rules = {}
         self.atoms()
 
     def atoms(self, order=_GL_ORDER):
-        if order not in self._rules:
-            x, w = np.polynomial.legendre.leggauss(order)
-            pts = 0.5 * (self.law.hi + self.law.lo) + 0.5 * (self.law.hi - self.law.lo) * x
-            pdf = self.law.pdf(pts)
-            mass = np.dot(w, pdf)
-            ok = mass > 0 and np.isfinite(mass)
-            if not ok and order == _GL_ORDER:
-                raise ConfigError(
-                    f"{self.law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
-                    "Gauss-Legendre nodes; widen the law or its support"
-                )
-            self._rules[order] = (pts, w * pdf / mass) if ok else None  # bias renormalized away
-        return self._rules[order]
+        x, w = np.polynomial.legendre.leggauss(order)
+        pts = 0.5 * (self.law.hi + self.law.lo) + 0.5 * (self.law.hi - self.law.lo) * x
+        pdf = self.law.pdf(pts)
+        mass = np.dot(w, pdf)
+        ok = mass > 0 and np.isfinite(mass)
+        if not ok and order == _GL_ORDER:
+            raise ConfigError(
+                f"{self.law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
+                "Gauss-Legendre nodes; widen the law or its support"
+            )
+        return (pts, w * pdf / mass) if ok else None  # bias renormalized away
 
     def sample(self, rng, size):
         return self.law.ppf(rng.random(size))

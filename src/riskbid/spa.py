@@ -24,15 +24,15 @@ tie at the bidder's own bid, so the bid function coincides with the
 single-unit one.
 """
 
+import functools
 import math
-import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, OrderingViolation, SolverWarning
-from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, check_monotone
+from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, _check_outside, check_monotone
 from .outcomes import DeterministicWin, WinPayoff
 
 _MAX_BISECT = 200
@@ -45,10 +45,9 @@ _SLAB = 1 << 13
 #: a lower-order noise rule stays within this many eps * max(1, |M|) of the default mean M;
 #: _PROBES surpluses check it at half that, leaving room for rounding between them
 _RULE_ULPS, _PROBES = 8.0, 513
-_RULE_KEY = operator.attrgetter("values", "outside", "utility", "transform", "win_payoff", "grid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SPAScenario(_Scenario):
     """A second-price (or uniform-price) environment plus solver knobs.
 
@@ -76,6 +75,10 @@ class SPAScenario(_Scenario):
     def report_grid(self):
         lo, hi = self.values.support
         return np.linspace(lo, hi, self.grid)
+
+    @functools.cached_property
+    def _noise_rule(self):
+        return _choose_rule(self)  # (offsets, weights) of every noise mean, chosen on first use
 
 
 def _noise_mean(u, v, b, offsets, weights):
@@ -118,22 +121,6 @@ def _noise_mean_slab(u, v, b, offsets, weights):
     return out
 
 
-def _noise_rule(scenario):
-    """(offsets, weights) of the scenario's noise mean: ``_choose_rule``'s
-    pick, made once per scenario object (again once a field it reads is
-    replaced), or the rule ``_pin_rule`` set."""
-    key, rule = getattr(scenario, "_rule", ((), None))
-    if rule is None or not all(map(operator.is_, key, _RULE_KEY(scenario))):
-        _pin_rule(scenario, rule := _choose_rule(scenario))
-    return rule
-
-
-def _pin_rule(scenario, rule):
-    """The scenario, with ``rule`` as its noise rule until a field is replaced."""
-    scenario._rule = (_RULE_KEY(scenario), rule)
-    return scenario
-
-
 def _choose_rule(scenario):
     """The fewest nodes the win payoff offers that meet ``_RULE_ULPS`` under
     the base and the effective utility on [min s - max o - (hi - lo), max s
@@ -149,16 +136,14 @@ def _choose_rule(scenario):
     x = np.linspace(np.min(s) - np.max(full[0]) - span, np.max(s) - np.min(full[0]) + span,
                     _PROBES)
     us = {scenario.utility, scenario.effective_utility()}  # one without a transform
-    # a mean overflowing to -inf near a domain edge keeps the default rule, silently
-    with np.errstate(over="ignore"):
-        ref = [_noise_mean(u, x, 0.0, *full) for u in us]
-        if not all(np.all(np.isfinite(m)) for m in ref):
-            return full
-        tol = [0.5 * _RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(m)) for m in ref]
-        for rule in low:
-            if all(np.all(np.abs(_noise_mean(u, x, 0.0, *rule) - m) <= t)
-                   for u, m, t in zip(us, ref, tol)):
-                return rule
+    ref = [_noise_mean(u, x, 0.0, *full) for u in us]
+    if not all(np.all(np.isfinite(m)) for m in ref):
+        return full
+    tol = [0.5 * _RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(m)) for m in ref]
+    for rule in low:
+        if all(np.all(np.abs(_noise_mean(u, x, 0.0, *rule) - m) <= t)
+               for u, m, t in zip(us, ref, tol)):
+            return rule
     return full
 
 
@@ -175,7 +160,7 @@ def pivotal_expectation(scenario, v, b, utility=None):
     page-faulting) a fresh multi-megabyte tensor per temporary.
     """
     u = scenario.effective_utility() if utility is None else utility
-    out = _noise_mean(u, v, b, *_noise_rule(scenario))
+    out = _noise_mean(u, v, b, *scenario._noise_rule)
     return out if out.ndim else float(out)
 
 
@@ -191,12 +176,17 @@ def solve_spa(scenario):
     absolute indifference gap at each solved bid, from one
     ``pivotal_expectation`` pass over the grid; a type whose bid leaves
     the domain by a rounding reports the gap at its level's x instead.
+    Raises ``DomainError`` where u is not finite at an outside level.
     """
-    u = scenario.effective_utility()
+    return _solve(scenario, scenario.effective_utility())
+
+
+def _solve(scenario, u):  # its warnings name the caller of solve_spa or compare_risk_aversion_spa
     grid = scenario.report_grid()
     levels, inverse = np.unique(scenario.outside.value(grid), return_inverse=True)
+    _check_outside(u, levels)
     target = u.value(levels)
-    offsets, weights = _noise_rule(scenario)
+    offsets, weights = scenario._noise_rule
     tol = scenario.root_tol
     resid_tol = tol * (1.0 + np.abs(target))
 
@@ -236,7 +226,7 @@ def solve_spa(scenario):
             f"steps at {types.size} of {grid.size} types (worst "
             f"{np.max(residuals[types]):.3e}, first at type {grid[types[0]]:g})",
             SolverWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     return EquilibriumSolution(
@@ -244,7 +234,7 @@ def solve_spa(scenario):
         bids=bids,
         residuals=residuals,
         derivative_check=float(np.max(residuals / (1.0 + np.abs(target[inverse])))),
-        monotone=check_monotone(bids),
+        monotone=check_monotone(bids, _stacklevel=4),
         v_floor=float(grid[0]),
         boundary_bid=float(bids[0]),
     )
@@ -263,12 +253,11 @@ def compare_risk_aversion_spa(scenario):
     Also checks, type by type, that the transformed utility weakly
     prefers the outside option to winning at the baseline bid — the
     one-sided condition behind the ordering.  Both solves and the check
-    take the noise rule of the scenario with the transform.  Raises
+    run on this one scenario, so they share its noise rule.  Raises
     :class:`OrderingViolation` (report attached) on failure.
     """
     uh = scenario._bent_utility()
-    base = solve_spa(_pin_rule(replace(scenario, transform=None), _noise_rule(scenario)))
-    bent = solve_spa(scenario)
+    base, bent = _solve(scenario, scenario.utility), _solve(scenario, uh)
     grid = base.grid
     won = pivotal_expectation(scenario, grid, base.bids, utility=uh)
     slack = uh.value(scenario.outside.value(grid)) - won

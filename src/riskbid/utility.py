@@ -284,8 +284,9 @@ class ComposedUtility(Utility):
         return y, dy * dw
 
     def masked_value(self, x):
-        # an inner breach gives -inf, which every outer maps to -inf
-        return self.outer.masked_value(self.inner.masked_value(x))
+        # -inf for an inner breach (every outer keeps it) or an outer CARA's overflow
+        with np.errstate(over="ignore"):
+            return self.outer.masked_value(self.inner.masked_value(x))
 
     def to_config(self):
         return {

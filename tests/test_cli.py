@@ -22,7 +22,6 @@ from riskbid import (
 from riskbid.cli import main, read_solution_csv
 from riskbid.config import build_scenario
 from riskbid.errors import OrderingViolation
-from riskbid.spa import _noise_rule
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
@@ -101,7 +100,7 @@ def test_sized_noise_quadrature_round_trip_and_audit(tmp_path):
            "win_payoff": {"form": "additive_noise", "scale": 0.2,
                           "noise": {"kind": "truncated_normal", "mu": 0.0, "sigma": 1.0,
                                     "lo": -3.0, "hi": 3.0}}}
-    assert _noise_rule(build_scenario(doc)[1])[0].size < 64
+    assert build_scenario(doc)[1]._noise_rule[0].size < 64
     cfg = write_cfg(tmp_path, doc)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
@@ -144,6 +143,24 @@ def test_solve_domain_breach_is_solver_error(tmp_path):
     doc["transform"] = None
     cfg = write_cfg(tmp_path, doc)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["fpa", "spa"])
+@pytest.mark.parametrize("command, artifact", [("solve", "solution.csv"),
+                                               ("compare", "verdict.json")])
+def test_utility_not_finite_at_outside_option_is_solver_error(tmp_path, capsys, fmt, command,
+                                                             artifact):
+    # CARA(4) over CRRA(2, shift 0.003) at s = 0 is 1 - exp(4 / 0.003), which
+    # overflows to -inf: no equilibrium condition can be posed there
+    doc = {"format": fmt, "values": UNIFORM3,
+           "utility": {"family": "crra", "rho": 2.0, "shift": 0.003},
+           "transform": {"family": "cara", "alpha": 4.0, "shift": 0.0}, "grid": 129}
+    out = tmp_path / "x"
+    assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert not (out / artifact).exists()
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: DomainError: ComposedUtility(CARAUtility(alpha=4.0"), err
+    assert err.endswith(" is not finite at the outside option s = 0\n"), err
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

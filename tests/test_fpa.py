@@ -33,8 +33,10 @@ from riskbid import (
     SPAScenario,
     UniformDist,
     ValueModel,
+    best_response_audit,
     closed_form_crra_uniform,
     compare_risk_aversion_fpa,
+    compare_risk_aversion_spa,
     marginal_tradeoff,
     solve_fpa,
     solve_spa,
@@ -280,18 +282,20 @@ def _flat_cell_grid(scn):
     ``check_monotone`` only warns about."""
     grid = scn.report_grid()
     grid[5] = grid[4]
-    scn.report_grid = lambda: grid.copy()
+    object.__setattr__(scn, "report_grid", lambda: grid.copy())  # a frozen scenario
     return scn
 
 
 def test_monotone_warning_names_the_caller():
-    scn = _flat_cell_grid(FPAScenario(values=UNIT3, transform=CARAUtility(1.0), grid=129))
-    with pytest.warns(SolverWarning) as rec:
-        assert solve_fpa(scn).monotone is False
-    assert [w.filename for w in rec] == [__file__]
-    with pytest.warns(SolverWarning) as rec:
-        compare_risk_aversion_fpa(scn)
-    assert [w.filename for w in rec] == [__file__, __file__]  # one per schedule
+    for scenario_cls, solve, compare in ((FPAScenario, solve_fpa, compare_risk_aversion_fpa),
+                                         (SPAScenario, solve_spa, compare_risk_aversion_spa)):
+        scn = _flat_cell_grid(scenario_cls(values=UNIT3, transform=CARAUtility(1.0), grid=129))
+        with pytest.warns(SolverWarning) as rec:
+            assert solve(scn).monotone is False
+        assert [w.filename for w in rec] == [__file__], scenario_cls
+        with pytest.warns(SolverWarning) as rec:
+            compare(scn)
+        assert [w.filename for w in rec] == [__file__, __file__], scenario_cls  # one per schedule
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +664,17 @@ def test_compare_bends_bids_up():
             marginal_tradeoff(scn.utility, v - rep.beta[i], 0.0), rel=1e-14)
         assert rep.diagnostics["tradeoff_bent"][i] == pytest.approx(
             marginal_tradeoff(uh, v - rep.beta_hat[i], 0.0), rel=1e-14)
+
+
+def test_compare_and_audit_under_an_overflowing_cara_bend_do_not_warn():
+    # the audit's report utility meets an outer CARA overflowing to -inf near
+    # the CRRA edge: no RuntimeWarning (an error here)
+    scn = FPAScenario(values=UNIT3, utility=CRRAUtility(2.0, shift=0.05),
+                      transform=CARAUtility(4.0), grid=129)
+    rep = compare_risk_aversion_fpa(scn)
+    sol = EquilibriumSolution.from_grid(rep.grid, rep.beta_hat, v_floor=0.0,
+                                        boundary_bid=scn.boundary_bid)
+    assert best_response_audit("fpa", scn, sol).passed
 
 
 def test_compare_linear_transform_is_identity():

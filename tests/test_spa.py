@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from riskbid import (
     CRRAUtility,
     DeterministicWin,
     DiscreteNoise,
+    EquilibriumSolution,
     LinearUtility,
     LogUtility,
     NoisyWin,
@@ -29,6 +30,7 @@ from riskbid import (
     UniformDist,
     UniformNoise,
     ValueModel,
+    best_response_audit,
     compare_risk_aversion_spa,
     pivotal_expectation,
     solve_spa,
@@ -94,7 +96,7 @@ def reference_bracket(scenario):
     probe = np.linspace(lo, hi, 257)
     s_abs = float(np.max(np.abs(np.asarray(scenario.outside.value(probe)))))
     wp = scenario.win_payoff
-    offsets, weights = spa._noise_rule(scenario)  # the solver's noise rule
+    offsets, weights = scenario._noise_rule  # the solver's noise rule
     span = wp.scale * np.ptp(wp.noise.support) if isinstance(wp, NoisyWin) else 0.0
     pad = s_abs + abs(float(np.dot(weights, offsets))) + 1.5 * span + 1e-9 * max(1.0, hi - lo)
     return lo - pad, hi + pad
@@ -165,7 +167,8 @@ def test_scenario_validation():
     ids=["uniform", "truncated_normal"],
 )
 def test_continuous_noise_atoms_and_draws(noise, mean, direct):
-    assert noise.atoms() is noise.atoms(64)  # each order's rule is built once
+    # the default rule is the 64-node one, built afresh on each call
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(noise.atoms(), noise.atoms(64)))
     for order in (16, 32, 64):
         pts, wts = noise.atoms(order)
         assert pts.shape == wts.shape == (order,), order
@@ -196,7 +199,7 @@ def test_lower_order_without_quadrature_mass_is_skipped():
     assert NoisyWin(noise, scale=0.2).offsets(32) is None
     scn = SPAScenario(values=UNIT3, utility=CARAUtility(1.0),
                       win_payoff=NoisyWin(noise, scale=0.2), grid=64)
-    assert spa._noise_rule(scn)[0].size == 64
+    assert scn._noise_rule[0].size == 64
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def test_pivotal_expectation_array_evaluates_inner_once():
                       transform=CARAUtility(1.0),
                       win_payoff=NoisyWin(TruncatedNormalNoise(0.0, 1.0, -3.0, 3.0), scale=0.2))
     u = scn.effective_utility()
-    spa._noise_rule(scn)  # the scenario's one-off choice of rule is not this pass
+    scn._noise_rule  # the scenario's one-off choice of rule is not this pass
     calls = []
     kernel = u.inner._u
     u.inner._u = lambda z: calls.append(z.shape) or kernel(z)
@@ -279,7 +282,7 @@ def test_cara_shading_closed_form(win_payoff, s0, shift):
     scn = SPAScenario(values=UNIT3, utility=CARAUtility(alpha, shift=shift),
                       outside=ConstantOutside(s0), win_payoff=win_payoff)
     sol = solve_spa(scn)
-    offsets, weights = spa._noise_rule(scn)  # the solver's noise rule
+    offsets, weights = scn._noise_rule  # the solver's noise rule
     shade = s0 + math.log(np.dot(weights, np.exp(-alpha * offsets))) / alpha
     np.testing.assert_allclose(sol.grid - sol.bids, shade, rtol=0.0, atol=1e-9)
 
@@ -454,6 +457,17 @@ def test_compare_slack_is_minus_inf_win_for_out_of_domain_atoms():
         assert s == pytest.approx(uh.value(0.5 * v) - won, abs=1e-14)
 
 
+def test_compare_and_audit_under_an_overflowing_cara_bend_do_not_warn():
+    # near the CRRA edge the inner value is hugely negative and the outer
+    # CARA overflows to -inf, its value: no RuntimeWarning (an error here)
+    scn = SPAScenario(values=UNIT3, utility=CRRAUtility(2.0, shift=0.05),
+                      transform=CARAUtility(4.0),
+                      win_payoff=NoisyWin(UniformNoise(-1.0, 1.0), scale=0.5), grid=64)
+    rep = compare_risk_aversion_spa(scn)
+    sol = EquilibriumSolution.from_grid(rep.grid, rep.beta_hat, v_floor=0.0)
+    assert best_response_audit("spa", scn, sol).passed
+
+
 def test_pivotal_expectation_array_matches_scalar():
     scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0),
                       win_payoff=NoisyWin(DiscreteNoise([-1.0, 1.0], [0.25, 0.75]),
@@ -512,7 +526,7 @@ EDGE64 = CRRAUtility(0.5, shift=0.3)
 
 def test_slabbed_solve_matches_scalar_reference():
     scn = SPAScenario(values=UNIT3, transform=EDGE64, win_payoff=TNORM64, grid=1025)
-    atoms = spa._noise_rule(scn)[0].size
+    atoms = scn._noise_rule[0].size
     assert atoms == 64 and scn.grid * atoms >= 4 * _SLAB
     assert_matches_reference(scn, solve_spa(scn))
 
@@ -561,7 +575,7 @@ def test_pivotal_expectation_never_holds_the_whole_tensor():
     scn = SPAScenario(values=UNIT3, transform=EDGE64, win_payoff=TNORM64, grid=1025)
     v = scn.report_grid()
     b = 0.8 * v - 0.2  # every row inside the domain
-    atoms = spa._noise_rule(scn)[0].size
+    atoms = scn._noise_rule[0].size
     assert atoms == 64
     whole = v.size * atoms * 8  # bytes of one (types x atoms) float64 tensor
     pivotal_expectation(scn, v, b)  # warm caches outside the trace
@@ -607,7 +621,7 @@ def test_cara_bids_match_continuous_noise_oracle(law, alpha, scale):
     assert np.max(np.abs(sol.bids - (sol.grid - x_exact))) <= scn.root_tol
     # the chosen rule's certainty equivalent, like the 64-node one, is
     # exact to within the oracle's own error
-    for offsets, weights in (spa._noise_rule(scn), scn.win_payoff.offsets()):
+    for offsets, weights in (scn._noise_rule, scn.win_payoff.offsets()):
         x_rule = s0 + math.log(np.dot(weights, np.exp(-alpha * offsets))) / alpha
         assert abs(x_rule - x_exact) <= err / mgf / alpha + 4 * np.spacing(x_exact)
 
@@ -639,16 +653,15 @@ _OUTSIDES = st.one_of(
 def test_noise_rule_reproduces_the_64_node_mean(law, scale, utility, transform, outside, seed):
     scn = SPAScenario(values=UNIT3, utility=utility, transform=transform, outside=outside,
                       win_payoff=NoisyWin(law, scale), grid=64)
-    rule = spa._noise_rule(scn)
+    rule = scn._noise_rule
     offsets, weights = scn.win_payoff.offsets()
     s = scn.outside.value(scn.report_grid())
     lo, hi = np.min(s) - np.max(offsets) - 1.0, np.max(s) - np.min(offsets) + 1.0
     x = np.random.default_rng(seed).uniform(lo, hi, 200)
     x = np.append(x[~np.isin(x, np.linspace(lo, hi, spa._PROBES))], lo)  # off the probes
     for u in (scn.utility, scn.effective_utility()):
-        with np.errstate(over="ignore"):  # near a domain edge a CARA layer overflows to -inf
-            full = spa._noise_mean(u, x, 0.0, offsets, weights)
-            got = spa._noise_mean(u, x, 0.0, *rule)
+        full = spa._noise_mean(u, x, 0.0, offsets, weights)
+        got = spa._noise_mean(u, x, 0.0, *rule)
         if not np.all(np.isfinite(full)):
             assert rule[0].size == 64
         bound = spa._RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(full))
@@ -656,23 +669,26 @@ def test_noise_rule_reproduces_the_64_node_mean(law, scale, utility, transform, 
 
 
 def test_noise_rule_is_chosen_once_per_scenario(monkeypatch):
-    scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=TNORM64, grid=129)
     calls = []
     choose = spa._choose_rule
     monkeypatch.setattr(spa, "_choose_rule", lambda s: calls.append(s) or choose(s))
-    rule = spa._noise_rule(scn)
-    assert rule[0].size < 64  # a smooth bend on smooth noise needs fewer nodes
+    scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=TNORM64, grid=129)
+    assert calls == []  # not at construction
     sol = solve_spa(scn)
+    rule = scn._noise_rule
+    assert rule[0].size < 64  # a smooth bend on smooth noise needs fewer nodes
     compare_risk_aversion_spa(scn)
+    best_response_audit("spa", scn, sol)
     pivotal_expectation(scn, sol.grid, sol.bids)
     assert calls == [scn]
-    # the base solve of a comparison takes the transformed scenario's rule
-    assert spa._noise_rule(scn) is rule
-    # a replaced field, or a new scenario, chooses again
-    scn.transform = CRRAUtility(0.5, shift=0.3)
-    assert spa._noise_rule(scn)[0].size == 64 and len(calls) == 2
-    spa._noise_rule(replace(scn, grid=257))
-    assert len(calls) == 3
+    # both solves of a comparison take the scenario's own rule
+    assert scn._noise_rule is rule
+    # a scenario's fields are fixed; a replaced copy chooses its own rule
+    with pytest.raises(FrozenInstanceError):
+        scn.transform = CRRAUtility(0.5, shift=0.3)
+    bent = replace(scn, transform=CRRAUtility(0.5, shift=0.3))
+    assert bent._noise_rule[0].size == 64 and calls == [scn, bent]
+    assert scn._noise_rule is rule
 
 
 def test_discrete_and_deterministic_payoffs_keep_their_atoms():
@@ -680,5 +696,5 @@ def test_discrete_and_deterministic_payoffs_keep_their_atoms():
     for win in (NoisyWin(TWO_POINT, scale=0.2), DeterministicWin()):
         assert win.lower_orders == ()
         scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=win, grid=64)
-        for got, own in zip(spa._noise_rule(scn), win.offsets()):
+        for got, own in zip(scn._noise_rule, win.offsets()):
             assert got.tobytes() == own.tobytes()

@@ -33,7 +33,7 @@ from riskbid import (
     solve_uniform_price,
     spa_report_utility,
 )
-from riskbid.spa import _SLAB, _noise_rule
+from riskbid.spa import _SLAB
 from riskbid.verification import _GL8_NODES, _GL8_WEIGHTS, _ROUNDING_GAIN
 
 U2 = ValueModel.iid(UniformDist(0.0, 1.0), 2)
@@ -54,7 +54,7 @@ def spa_report_utility_quad(scenario, solution, v, t):
         return u_s
     units = scenario.units
     q = float(vm.kth_win_prob(units, v, t))
-    offsets, wts = _noise_rule(scenario)  # the solver's noise rule
+    offsets, wts = scenario._noise_rule  # the solver's noise rule
 
     def integrand(z):
         b = float(solution.bid_at(z))
@@ -75,7 +75,7 @@ def reference_spa_report_utility(scenario, solution, v, t):
     vm = scenario.values
     units = scenario.units
     lo, hi = vm.support
-    offsets, wts = _noise_rule(scenario)  # the solver's noise rule
+    offsets, wts = scenario._noise_rule  # the solver's noise rule
     u_s = float(u.value(scenario.outside.value(v)))
 
     t = np.clip(np.asarray(t, dtype=float), lo, hi)
@@ -242,7 +242,7 @@ _EDGE64 = CRRAUtility(0.5, shift=0.3)
 
 def _slab_panels(scenario):
     """Report panels per slab of the (panels x 8 x atoms) utility tensor."""
-    return _SLAB // (8 * _noise_rule(scenario)[0].size)
+    return _SLAB // (8 * scenario._noise_rule[0].size)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +287,7 @@ def test_spa_report_utility_never_holds_the_whole_tensor():
     scn = SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64, grid=129)
     sol = solve_spa(scn)
     ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 512), [0.37]]))  # an audit sweep
-    atoms = _noise_rule(scn)[0].size
+    atoms = scn._noise_rule[0].size
     assert atoms == 64
     whole = (ts.size - 1) * 8 * atoms * 8  # bytes of one (panels x 8 x atoms) float64 tensor
     spa_report_utility(scn, sol, 0.37, ts)  # warm caches outside the trace
@@ -533,7 +533,7 @@ def _spa_audit_peak(types):
     """(traced peak bytes of a 64-atom audit at grid 1025, bytes of one
     (panels x 8 x atoms) float64 tensor)."""
     scn = SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64, grid=1025)
-    atoms = _noise_rule(scn)[0].size
+    atoms = scn._noise_rule[0].size
     assert atoms == 64
     sol = solve_spa(scn)
     best_response_audit("spa", scn, sol, type_grid_size=types)  # warm caches outside the trace
