@@ -10,9 +10,8 @@ sufficient to reproduce the run bit for bit.
 """
 
 import json
-import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number, positive_number
 from .fpa import FPAScenario
 from .outcomes import (
     AffineOutside,
@@ -59,14 +58,6 @@ def _check_keys(doc, allowed, required, where):
     missing = sorted(set(required) - set(doc))
     if missing:
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
-
-
-def finite_number(val, where):
-    """``val`` as a float; ConfigError unless a finite JSON number (not a bool)."""
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if not (number and abs(val) <= sys.float_info.max):
-        raise ConfigError(f"{where} must be a finite number, got {val!r}")
-    return float(val)
 
 
 def _numbers(val, where, length=None):
@@ -191,10 +182,7 @@ def _build_tolerances(doc):
     )
     out = dict(_DEFAULT_TOLERANCES)
     for key, val in doc.items():
-        val = finite_number(val, f"tolerances.{key}")
-        if not val > 0:
-            raise ConfigError(f"tolerances.{key} must be > 0, got {val}")
-        out[key] = val
+        out[key] = positive_number(val, f"tolerances.{key}")
     return out
 
 

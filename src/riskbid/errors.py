@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library, and the checks
+every numeric parameter passes on its way in."""
+
+import math
+import numbers
 
 
 class RiskbidError(Exception):
@@ -11,6 +15,33 @@ class DomainError(RiskbidError):
 
 class ConfigError(RiskbidError):
     """A scenario, problem, or config document is invalid."""
+
+
+def finite_number(val, where):
+    """``val`` as a float; ConfigError unless a finite real number (not a bool)."""
+    try:  # math.isfinite, unlike a comparison, takes a numpy scalar without a warning
+        ok = isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def positive_number(val, where):
+    """``val`` as a float; ConfigError unless a finite number > 0 (a tolerance)."""
+    val = finite_number(val, where)
+    if not val > 0:
+        raise ConfigError(f"{where} must be > 0, got {val}")
+    return val
+
+
+def integer_count(val, where, least):
+    """``val`` as an int; ConfigError unless an integer >= least (not a bool)."""
+    # bool is an int subclass, but True would pass as 1 (one round, one type)
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
+        raise ConfigError(f"{where} must be an integer >= {least}, got {val!r}")
+    return int(val)
 
 
 class IdenticalActions(RiskbidError):

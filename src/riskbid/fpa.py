@@ -51,6 +51,9 @@ from .errors import (
     OrderingViolation,
     SingularHazard,
     SolverWarning,
+    finite_number,
+    integer_count,
+    positive_number,
 )
 from .outcomes import ConstantOutside, OutsideOption
 from .utility import LinearUtility, Utility, effective_utility
@@ -116,8 +119,7 @@ class _Scenario:
     transform: Optional[Utility] = None
 
     def __post_init__(self):
-        if not isinstance(self.grid, (int, np.integer)) or self.grid < 64:
-            raise ConfigError(f"grid must be an integer >= 64, got {self.grid}")
+        integer_count(self.grid, "grid", 64)
 
     def effective_utility(self):
         return effective_utility(self.utility, self.transform)
@@ -143,8 +145,7 @@ class FPAScenario(_Scenario):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.ode_tol > 0:
-            raise ConfigError(f"ode_tol must be > 0, got {self.ode_tol}")
+        positive_number(self.ode_tol, "ode_tol")
         lo, hi = self.values.support
         span = hi - lo
         if self.start_offset is None:
@@ -156,6 +157,7 @@ class FPAScenario(_Scenario):
         zero_surplus = lo - float(self.outside.value(lo))
         if self.boundary_bid is None:
             object.__setattr__(self, "boundary_bid", zero_surplus)
+        finite_number(self.boundary_bid, "boundary_bid")
         if self.boundary_bid > zero_surplus + _BOUNDARY_TOL:
             raise ConfigError(
                 f"boundary bid {self.boundary_bid:g} exceeds the zero-surplus "
@@ -258,8 +260,9 @@ class EquilibriumSolution:
             residuals=residuals,
             derivative_check=float(np.max(np.abs(residuals))),
             monotone=bool(np.all(diffs > 0)),
-            v_floor=float(grid[0]) if v_floor is None else float(v_floor),
-            boundary_bid=float(bids[0]) if boundary_bid is None else float(boundary_bid),
+            v_floor=float(grid[0]) if v_floor is None else finite_number(v_floor, "v_floor"),
+            boundary_bid=(float(bids[0]) if boundary_bid is None
+                          else finite_number(boundary_bid, "boundary_bid")),
         )
 
 

@@ -3,19 +3,27 @@
 The outside option s(v) is what a bidder of type v consumes when she
 does not get the good.  The win payoff W describes what getting the
 good is worth: either exactly the type v, or v plus scaled noise that
-resolves after the auction.  Noise laws expose quadrature rules, so
-expectations reduce to dot products.  A discrete law is its own atoms.
-A continuous law is a value marginal (``values``) plus its density on
-64 (or 32, where ``spa`` finds that enough) Gauss-Legendre nodes of its
-support, renormalized, with inverse-cdf draws.
+resolves after the auction.  Noise laws and win payoffs hold quadrature
+``rules``, (nodes, weights) pairs with the fewest nodes first and the
+default last, so expectations reduce to dot products.  A discrete law is
+its own atoms.  A continuous law is a value marginal (``values``) plus
+its density on 32 and 64 Gauss-Legendre nodes of its support, built and
+renormalized once, at construction, with inverse-cdf draws.
 """
+
+import functools
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 from .values import TruncatedNormalDist, UniformDist
 
-_GL_ORDER = 64
+_GL_ORDERS = (32, 64)  # a law's rules; the last is its default
+
+
+@functools.cache
+def _leggauss(order):
+    return np.polynomial.legendre.leggauss(order)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +40,7 @@ class OutsideOption:
 
 class ConstantOutside(OutsideOption):
     def __init__(self, s0=0.0):
-        self.s0 = float(s0)
+        self.s0 = finite_number(s0, "s0")
 
     def value(self, v):
         out = np.full_like(np.asarray(v, dtype=float), self.s0)
@@ -47,8 +55,7 @@ class ConstantOutside(OutsideOption):
 
 class AffineOutside(OutsideOption):
     def __init__(self, c0, c1):
-        self.c0 = float(c0)
-        self.c1 = float(c1)
+        self.c0, self.c1 = finite_number(c0, "c0"), finite_number(c1, "c1")
 
     def value(self, v):
         out = self.c0 + self.c1 * np.asarray(v, dtype=float)
@@ -72,8 +79,9 @@ class TableOutside(OutsideOption):
         ss = np.array([p[1] for p in pts])
         if np.any(np.diff(vs) <= 0):
             raise ConfigError("table abscissae must be strictly increasing")
-        if not np.all(np.isfinite(ss)):
-            raise ConfigError("table values must be finite")
+        for name, a in (("abscissae", vs), ("values", ss)):
+            if not np.all(np.isfinite(a)):
+                raise ConfigError(f"table {name} must be finite")
         self.vs = vs
         self.ss = ss
 
@@ -96,10 +104,9 @@ class TableOutside(OutsideOption):
 
 
 class NoiseDist:
-    lower_orders = ()  # node counts that ``atoms(order)`` offers below its default rule
-    #: quadrature nodes and weights; weights sum to 1
-    def atoms(self):
-        raise NotImplementedError
+    #: (nodes, weights) quadrature rules, fewest nodes first and the default
+    #: last; each rule's weights sum to 1
+    rules = ()
 
     def sample(self, rng, size):
         raise NotImplementedError
@@ -114,16 +121,14 @@ class DiscreteNoise(NoiseDist):
         probs = np.asarray(probs, dtype=float)
         if points.ndim != 1 or points.size == 0 or points.shape != probs.shape:
             raise ConfigError("discrete noise needs matching point/prob vectors")
-        if np.any(probs < 0) or probs.sum() <= 0:
-            raise ConfigError("discrete noise probabilities must be nonnegative")
+        if not (np.all(probs >= 0) and 0 < probs.sum() < np.inf):
+            raise ConfigError("discrete noise probabilities must be finite and nonnegative")
         if not np.all(np.isfinite(points)):
             raise ConfigError("discrete noise points must be finite")
         self.points = points
         self.probs = probs / probs.sum()
         self.support = (float(points.min()), float(points.max()))
-
-    def atoms(self):
-        return self.points, self.probs
+        self.rules = ((points, self.probs),)
 
     def sample(self, rng, size):
         return rng.choice(self.points, size=size, p=self.probs)
@@ -141,27 +146,26 @@ class DiscreteNoise(NoiseDist):
 
 class _LawNoise(NoiseDist):
     """Noise drawn from a value marginal: inverse-cdf draws, and its density on
-    ``order`` Gauss-Legendre nodes, renormalized (``None`` if no mass)."""
-
-    lower_orders = (32,)
+    32 and 64 Gauss-Legendre nodes, renormalized.  A 32-node rule without
+    quadrature mass is left out."""
 
     def __init__(self, law):
         self.law = law
         self.support = (law.lo, law.hi)
-        self.atoms()
-
-    def atoms(self, order=_GL_ORDER):
-        x, w = np.polynomial.legendre.leggauss(order)
-        pts = 0.5 * (self.law.hi + self.law.lo) + 0.5 * (self.law.hi - self.law.lo) * x
-        pdf = self.law.pdf(pts)
-        mass = np.dot(w, pdf)
-        ok = mass > 0 and np.isfinite(mass)
-        if not ok and order == _GL_ORDER:
-            raise ConfigError(
-                f"{self.law!r} has quadrature mass {mass:g} on its {_GL_ORDER} "
-                "Gauss-Legendre nodes; widen the law or its support"
-            )
-        return (pts, w * pdf / mass) if ok else None  # bias renormalized away
+        rules = []
+        for order in _GL_ORDERS:
+            x, w = _leggauss(order)
+            pts = 0.5 * (law.hi + law.lo) + 0.5 * (law.hi - law.lo) * x
+            pdf = law.pdf(pts)
+            mass = np.dot(w, pdf)
+            if mass > 0 and np.isfinite(mass):
+                rules.append((pts, w * pdf / mass))  # bias renormalized away
+            elif order == _GL_ORDERS[-1]:
+                raise ConfigError(
+                    f"{law!r} has quadrature mass {mass:g} on its {order} "
+                    "Gauss-Legendre nodes; widen the law or its support"
+                )
+        self.rules = tuple(rules)
 
     def sample(self, rng, size):
         return self.law.ppf(rng.random(size))
@@ -195,10 +199,9 @@ class TruncatedNormalNoise(_LawNoise):
 class WinPayoff:
     """Value of getting the good for type v: W = v + scale * noise."""
 
-    lower_orders = ()  # node counts that ``offsets(order)`` offers below its default rule
-    def offsets(self):
-        """(offsets, weights): W takes value v + offset with the given weight."""
-        raise NotImplementedError
+    #: (offsets, weights) rules, fewest nodes first and the default last:
+    #: W takes value v + offset with the given weight
+    rules = ()
 
     def sample(self, rng, v):
         raise NotImplementedError
@@ -208,8 +211,7 @@ class WinPayoff:
 
 
 class DeterministicWin(WinPayoff):
-    def offsets(self):
-        return np.array([0.0]), np.array([1.0])
+    rules = ((np.array([0.0]), np.array([1.0])),)
 
     def sample(self, rng, v):
         return np.asarray(v, dtype=float).copy()
@@ -223,17 +225,12 @@ class DeterministicWin(WinPayoff):
 
 class NoisyWin(WinPayoff):
     def __init__(self, noise, scale):
-        scale = float(scale)
+        scale = finite_number(scale, "noise scale")
         if scale < 0:
             raise ConfigError(f"noise scale must be >= 0, got {scale}")
         self.noise = noise
         self.scale = scale
-        self.lower_orders = noise.lower_orders
-
-    def offsets(self, order=None):
-        """The noise's default rule or its ``order``-node one, scaled."""
-        rule = self.noise.atoms() if order is None else self.noise.atoms(order)
-        return None if rule is None else (self.scale * rule[0], rule[1])
+        self.rules = tuple((scale * pts, w) for pts, w in noise.rules)
 
     def sample(self, rng, v):
         v = np.asarray(v, dtype=float)

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import _check_keys, finite_number
+from .config import _check_keys
 from .errors import (
     BidOrderError,
     ConfigError,
@@ -38,6 +38,7 @@ from .errors import (
     InvariantViolation,
     OutsideOptionNotConstant,
     PreconditionError,
+    finite_number,
 )
 from .utility import PiecewiseLinearUtility
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, OrderingViolation, SolverWarning
+from .errors import ConfigError, OrderingViolation, SolverWarning, integer_count, positive_number
 from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, _check_outside, check_monotone
 from .outcomes import DeterministicWin, WinPayoff
 
@@ -42,7 +42,7 @@ _MAX_BISECT = 200
 #: glibc's 128 KiB mmap threshold and inside L2: freed slabs are reused
 #: from the heap instead of being mapped and page-faulted afresh.
 _SLAB = 1 << 13
-#: a lower-order noise rule stays within this many eps * max(1, |M|) of the default mean M;
+#: a rule with fewer nodes stays within this many eps * max(1, |M|) of the default mean M;
 #: _PROBES surpluses check it at half that, leaving room for rounding between them
 _RULE_ULPS, _PROBES = 8.0, 513
 
@@ -61,16 +61,14 @@ class SPAScenario(_Scenario):
     root_tol: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.units, (int, np.integer)) or self.units < 1:
-            raise ConfigError(f"units must be a positive integer, got {self.units}")
+        integer_count(self.units, "units", 1)
         if self.units > self.values.n - 1:
             raise ConfigError(
                 f"cannot sell {self.units} units to {self.values.n} bidders at the "
                 "highest losing bid; need units <= bidders - 1"
             )
         super().__post_init__()
-        if not self.root_tol > 0:
-            raise ConfigError(f"root_tol must be > 0, got {self.root_tol}")
+        positive_number(self.root_tol, "root_tol")
 
     def report_grid(self):
         lo, hi = self.values.support
@@ -122,13 +120,11 @@ def _noise_mean_slab(u, v, b, offsets, weights):
 
 
 def _choose_rule(scenario):
-    """The fewest nodes the win payoff offers that meet ``_RULE_ULPS`` under
-    the base and the effective utility on [min s - max o - (hi - lo), max s
-    - min o + (hi - lo)], which holds every bisection bracket, the slack
-    and every audit surplus; the default rule where its mean is not finite."""
-    wp = scenario.win_payoff
-    full = wp.offsets()
-    low = [rule for rule in map(wp.offsets, wp.lower_orders) if rule is not None]
+    """The first of the win payoff's ``rules`` within ``_RULE_ULPS`` of the
+    last, the default, under the base and the effective utility on [min s -
+    max o - (hi - lo), max s - min o + (hi - lo)], which holds every bisection
+    bracket, the slack and every audit surplus; the default where it is not finite."""
+    *low, full = scenario.win_payoff.rules
     if not low:
         return full
     span = np.ptp(scenario.values.support)

@@ -28,7 +28,7 @@ risk-averse preference over the same payoffs.
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, finite_number, positive_number
 
 
 class Utility:
@@ -73,9 +73,7 @@ class Utility:
 
     def deriv(self, x):
         """u'(x); raises ``DomainError`` if any entry leaves the domain."""
-        z = self._arg(x)
-        out = self._du(z)
-        return out if isinstance(z, np.ndarray) and z.ndim else float(out)
+        return self._value_deriv(x)[1]
 
     def _value_deriv(self, x):
         """(u(x), u'(x)) from one domain check; a composition evaluates each
@@ -108,7 +106,7 @@ class LinearUtility(Utility):
     """Risk-neutral benchmark, u(x) = x + shift."""
 
     def __init__(self, shift=0.0):
-        self.shift = float(shift)
+        self.shift = finite_number(shift, "shift")
 
     def _u(self, z):
         return z
@@ -132,13 +130,13 @@ class CRRAUtility(Utility):
     """
 
     def __init__(self, rho, shift=0.0):
-        rho = float(rho)
+        rho = finite_number(rho, "relative risk aversion")
         if rho < 0:
             raise ConfigError(f"relative risk aversion must be >= 0, got {rho}")
         if rho == 1.0:
             raise ConfigError("rho = 1 is the log member; use LogUtility")
         self.rho = rho
-        self.shift = float(shift)
+        self.shift = finite_number(shift, "shift")
         self.domain_lo = 0.0
         self.domain_open = rho > 1.0
 
@@ -167,7 +165,7 @@ class LogUtility(Utility):
     domain_open = True
 
     def __init__(self, shift=0.0):
-        self.shift = float(shift)
+        self.shift = finite_number(shift, "shift")
 
     def _u(self, z):
         return np.log(z)
@@ -186,11 +184,8 @@ class CARAUtility(Utility):
     """Exponential utility u(x) = 1 - exp(-alpha (x+shift)), alpha > 0."""
 
     def __init__(self, alpha, shift=0.0):
-        alpha = float(alpha)
-        if alpha <= 0:
-            raise ConfigError(f"absolute risk aversion must be > 0, got {alpha}")
-        self.alpha = alpha
-        self.shift = float(shift)
+        self.alpha = positive_number(alpha, "absolute risk aversion")
+        self.shift = finite_number(shift, "shift")
 
     def _u(self, z):
         return 1.0 - np.exp(-self.alpha * z)
@@ -216,7 +211,8 @@ class PiecewiseLinearUtility(Utility):
     """
 
     def __init__(self, knots, shift=0.0):
-        knots = [(float(x), float(m)) for x, m in knots]
+        knots = [(finite_number(x, "piecewise-linear knot"),
+                  finite_number(m, "piecewise-linear slope")) for x, m in knots]
         if not knots:
             raise ConfigError("piecewise-linear utility needs at least one knot")
         # a handful of knots: checked and summed on Python floats, which
@@ -236,7 +232,7 @@ class PiecewiseLinearUtility(Utility):
         self.knot_x = np.array(xs)
         self.knot_m = np.array(ms)
         self.knot_v = np.array(vals)
-        self.shift = float(shift)
+        self.shift = finite_number(shift, "shift")
 
     def _segment(self, z):
         idx = np.searchsorted(self.knot_x, z, side="right") - 1
@@ -273,9 +269,6 @@ class ComposedUtility(Utility):
     def value(self, x):
         return self.outer.value(self.inner.value(x))
 
-    def deriv(self, x):
-        return self.outer.deriv(self.inner.value(x)) * self.inner.deriv(x)
-
     def _value_deriv(self, x):
         # an inner breach raises from inner.value first, as in value(x);
         # deriv shares value's domain, so it adds no error of its own
@@ -301,7 +294,7 @@ class ComposedUtility(Utility):
 
 def crra(rho, shift=0.0):
     """CRRA constructor that routes rho = 1 to the log member."""
-    if float(rho) == 1.0:
+    if finite_number(rho, "relative risk aversion") == 1.0:
         return LogUtility(shift)
     return CRRAUtility(rho, shift)
 

@@ -17,7 +17,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, DomainError, SingularHazard
+from .errors import (ConfigError, DomainError, SingularHazard, finite_number, integer_count,
+                     positive_number)
 
 #: Win probabilities below this are treated as an exact zero for hazards.
 _Q_FLOOR = 1e-300
@@ -47,8 +48,8 @@ class MarginalDist:
     """One bidder's value distribution on a closed interval [lo, hi]."""
 
     def __init__(self, lo, hi):
-        lo, hi = float(lo), float(hi)
-        if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        lo, hi = finite_number(lo, "support lo"), finite_number(hi, "support hi")
+        if not lo < hi:
             raise ConfigError(f"support must be a finite interval, got [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -92,10 +93,7 @@ class PowerDist(MarginalDist):
 
     def __init__(self, k, lo, hi):
         super().__init__(lo, hi)
-        k = float(k)
-        if k <= 0:
-            raise ConfigError(f"power exponent must be > 0, got {k}")
-        self.k = k
+        self.k = positive_number(k, "power exponent")
 
     def cdf(self, t):
         return np.power(self._unit(t), self.k)
@@ -128,10 +126,8 @@ class TruncatedNormalDist(MarginalDist):
 
     def __init__(self, mu, sigma, lo, hi):
         super().__init__(lo, hi)
-        sigma = float(sigma)
-        if sigma <= 0:
-            raise ConfigError(f"sigma must be > 0, got {sigma}")
-        self.mu = float(mu)
+        sigma = positive_number(sigma, "sigma")
+        self.mu = finite_number(mu, "mu")
         self.sigma = sigma
         a, b = (self.lo - self.mu) / sigma, (self.hi - self.mu) / sigma
         self._s = -1.0 if a > 0 else 1.0
@@ -192,9 +188,8 @@ class ValueModel:
     """
 
     def __init__(self, components, n):
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ConfigError(f"number of bidders must be an integer >= 2, got {n}")
-        comps = [(float(w), d) for w, d in components]
+        n = integer_count(n, "number of bidders", 2)
+        comps = [(finite_number(w, "component weight"), d) for w, d in components]
         if not comps:
             raise ConfigError("value model needs at least one component")
         if any(w <= 0 for w, _ in comps):
@@ -206,7 +201,7 @@ class ValueModel:
         for _, d in comps:
             if abs(d.lo - lo) > 1e-12 or abs(d.hi - hi) > 1e-12:
                 raise ConfigError("all mixture components must share one support")
-        self.n = int(n)
+        self.n = n
         self.weights = np.array([w / total for w, _ in comps])
         self.dists = [d for _, d in comps]
         self.lo = lo

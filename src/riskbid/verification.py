@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FORMATS
-from .errors import ConfigError
+from .errors import ConfigError, finite_number, integer_count
 from .fpa import FPAScenario
 from .spa import SPAScenario, pivotal_expectation
 
@@ -34,14 +34,6 @@ def _check_format(fmt, scenario):
         raise ConfigError(
             f"format {fmt!r} needs an {kind.__name__}, got {type(scenario).__name__}"
         )
-
-
-def _count(name, x, least):
-    """x as a Python int; ``ConfigError`` unless it is an integer >= least."""
-    # bool is an int subclass, but True would pass as 1 (one round, one type)
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {x!r}")
-    return int(x)
 
 
 def fpa_report_utility(scenario, solution, v, t):
@@ -233,13 +225,16 @@ def best_response_audit(
     the split of the one panel holding the type, the noise expectation
     and the cumulative sum, so no (types x panels x 8) array is built.
 
-    ``fmt`` must name the scenario's own format, and ``type_grid_size``
-    must be an integer >= 1 and ``deviation_grid_size`` one >= 2, else
-    ``ConfigError``.
+    ``fmt`` must name the scenario's own format, ``type_grid_size`` an
+    integer >= 1, ``deviation_grid_size`` one >= 2 and ``audit_tol`` a
+    finite number >= 0, else ``ConfigError``.
     """
     _check_format(fmt, scenario)
-    n_types = _count("type_grid_size", type_grid_size, 1)
-    n_reports = _count("deviation_grid_size", deviation_grid_size, 2)
+    n_types = integer_count(type_grid_size, "type_grid_size", 1)
+    n_reports = integer_count(deviation_grid_size, "deviation_grid_size", 2)
+    audit_tol = finite_number(audit_tol, "audit_tol")
+    if audit_tol < 0:  # 0 is exact: gains within rounding already read 0
+        raise ConfigError(f"audit_tol must be >= 0, got {audit_tol}")
     lo, hi = scenario.values.support
     types = np.linspace(lo, hi, n_types)
     reports = np.linspace(lo, hi, n_reports)
@@ -274,7 +269,7 @@ def best_response_audit(
         gains=gains,
         max_gain=max_gain,
         passed=passed,
-        audit_tol=float(audit_tol),
+        audit_tol=audit_tol,
         deviation_grid_size=n_reports,
     )
 
@@ -334,9 +329,9 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
     integers >= 0 and ``chunk_size`` one >= 1, else ``ConfigError``.
     """
     _check_format(fmt, scenario)
-    rounds = _count("rounds", rounds, 0)
-    seed = _count("seed", seed, 0)
-    chunk_size = _count("chunk_size", chunk_size, 1)
+    rounds = integer_count(rounds, "rounds", 0)
+    seed = integer_count(seed, "seed", 0)
+    chunk_size = integer_count(chunk_size, "chunk_size", 1)
     if rounds == 0:
         return StatsReport(format=fmt, rounds=0, seed=seed)
 

@@ -65,7 +65,7 @@ def test_spa_cara_table_matches_certainty_equivalent():
         grid=129,
     )
     sol = solve_spa(scn)
-    offsets, weights = scn.win_payoff.offsets()
+    offsets, weights = scn.win_payoff.rules[-1]
     s = scn.outside.value(sol.grid)
     x = s + np.log(np.sum(weights * np.exp(-alpha * offsets))) / alpha
     assert np.max(np.abs((sol.grid - sol.bids) - x)) <= 10.0 * scn.root_tol

@@ -167,11 +167,11 @@ def test_scenario_validation():
     ids=["uniform", "truncated_normal"],
 )
 def test_continuous_noise_atoms_and_draws(noise, mean, direct):
-    # the default rule is the 64-node one, built afresh on each call
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(noise.atoms(), noise.atoms(64)))
-    for order in (16, 32, 64):
-        pts, wts = noise.atoms(order)
-        assert pts.shape == wts.shape == (order,), order
+    # a 32-node rule, then the 64-node default
+    assert [pts.size for pts, _ in noise.rules] == [32, 64]
+    for pts, wts in noise.rules:
+        order = pts.size
+        assert wts.shape == (order,), order
         assert np.all(wts > 0) and wts.sum() == pytest.approx(1.0, abs=1e-15), order
         assert abs(np.dot(wts, pts) - mean) <= 1e-14, order
     lo, hi = noise.support
@@ -189,17 +189,31 @@ def test_continuous_noise_needs_quadrature_mass():
 
 def test_lower_order_without_quadrature_mass_is_skipped():
     # all mass within 1e-3 of the 64-node abscissa of [-1, 1] farthest from
-    # the 16 and 32 nodes, where the pdf underflows to 0
-    x16, x32, x64 = (np.polynomial.legendre.leggauss(n)[0] for n in (16, 32, 64))
-    gap = np.minimum(*(np.min(np.abs(x64[:, None] - x), axis=1) for x in (x16, x32)))
+    # the 32 nodes, where the pdf underflows to 0
+    x32, x64 = (np.polynomial.legendre.leggauss(n)[0] for n in (32, 64))
+    gap = np.min(np.abs(x64[:, None] - x32), axis=1)
     assert gap.max() > 100 * 2e-4
     mu = x64[np.argmax(gap)]
     noise = TruncatedNormalNoise(mu, 2e-4, -1.0, 1.0)
-    assert noise.atoms(16) is None and noise.atoms(32) is None
-    assert NoisyWin(noise, scale=0.2).offsets(32) is None
-    scn = SPAScenario(values=UNIT3, utility=CARAUtility(1.0),
-                      win_payoff=NoisyWin(noise, scale=0.2), grid=64)
-    assert scn._noise_rule[0].size == 64
+    win = NoisyWin(noise, scale=0.2)
+    assert [pts.size for pts, _ in noise.rules] == [pts.size for pts, _ in win.rules] == [64]
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(1.0), win_payoff=win, grid=64)
+    assert scn._noise_rule is win.rules[0]
+
+
+def test_continuous_rules_are_built_once(monkeypatch):
+    # Gauss-Legendre nodes are computed once per order per process, and a
+    # rule choice reads the payoff's rules without building any
+    UniformNoise(-1.0, 1.0)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    win = NoisyWin(TruncatedNormalNoise(0.1, 0.8, -2.0, 2.0), scale=0.2)
+    scn = SPAScenario(values=UNIT3, utility=CARAUtility(1.0), win_payoff=win, grid=64)
+    rule = scn._noise_rule
+    assert calls == []
+    assert any(rule is own for own in win.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +574,7 @@ def test_slabbed_pivotal_expectation_within_4_ulp():
     scn = SPAScenario(values=UNIT3, utility=CRRAUtility(0.5, shift=0.3), win_payoff=TNORM64,
                       grid=1025)
     u = scn.effective_utility()
-    offsets, weights = scn.win_payoff.offsets()
+    offsets, weights = scn.win_payoff.rules[-1]
     v = scn.report_grid()
     b = 0.5 * v + 0.2 * np.sin(40.0 * v)  # scattered rows leave the domain
     got = pivotal_expectation(scn, v, b)
@@ -621,7 +635,7 @@ def test_cara_bids_match_continuous_noise_oracle(law, alpha, scale):
     assert np.max(np.abs(sol.bids - (sol.grid - x_exact))) <= scn.root_tol
     # the chosen rule's certainty equivalent, like the 64-node one, is
     # exact to within the oracle's own error
-    for offsets, weights in (scn._noise_rule, scn.win_payoff.offsets()):
+    for offsets, weights in (scn._noise_rule, scn.win_payoff.rules[-1]):
         x_rule = s0 + math.log(np.dot(weights, np.exp(-alpha * offsets))) / alpha
         assert abs(x_rule - x_exact) <= err / mgf / alpha + 4 * np.spacing(x_exact)
 
@@ -654,7 +668,7 @@ def test_noise_rule_reproduces_the_64_node_mean(law, scale, utility, transform, 
     scn = SPAScenario(values=UNIT3, utility=utility, transform=transform, outside=outside,
                       win_payoff=NoisyWin(law, scale), grid=64)
     rule = scn._noise_rule
-    offsets, weights = scn.win_payoff.offsets()
+    offsets, weights = scn.win_payoff.rules[-1]
     s = scn.outside.value(scn.report_grid())
     lo, hi = np.min(s) - np.max(offsets) - 1.0, np.max(s) - np.min(offsets) + 1.0
     x = np.random.default_rng(seed).uniform(lo, hi, 200)
@@ -692,9 +706,9 @@ def test_noise_rule_is_chosen_once_per_scenario(monkeypatch):
 
 
 def test_discrete_and_deterministic_payoffs_keep_their_atoms():
-    assert TNORM64.lower_orders == (32,)
+    assert len(TNORM64.rules) == 2
     for win in (NoisyWin(TWO_POINT, scale=0.2), DeterministicWin()):
-        assert win.lower_orders == ()
+        assert len(win.rules) == 1
         scn = SPAScenario(values=UNIT3, transform=CARAUtility(2.0), win_payoff=win, grid=64)
-        for got, own in zip(scn._noise_rule, win.offsets()):
+        for got, own in zip(scn._noise_rule, win.rules[0]):
             assert got.tobytes() == own.tobytes()

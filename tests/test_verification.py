@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from riskbid import (
+    AffineOutside,
     CARAUtility,
     ConfigError,
     ConstantOutside,
@@ -17,10 +20,14 @@ from riskbid import (
     DiscreteNoise,
     EquilibriumSolution,
     FPAScenario,
+    LinearUtility,
     LogUtility,
     NoisyWin,
+    PiecewiseLinearUtility,
     PowerDist,
     SPAScenario,
+    TableOutside,
+    TruncatedNormalDist,
     TruncatedNormalNoise,
     UniformDist,
     ValueModel,
@@ -272,7 +279,7 @@ def test_spa_report_utility_slabs_match_whole_tensor_across_breach(where):
     ts = np.linspace(0.0, 1.0, panels + 1)
     first = 2 * step + step // 2 if where == "inside_slab" else 2 * step
     z_breach = ts[first] + (0.5 * (ts[1] - ts[0]) if where == "inside_slab" else 0.0)
-    shift = z_breach - v - np.min(_TNORM64.offsets()[0])
+    shift = z_breach - v - np.min(_TNORM64.rules[-1][0])
     scn = SPAScenario(values=U3, utility=CRRAUtility(0.5, shift=shift), win_payoff=_TNORM64,
                       grid=129)
     grid = np.linspace(0.0, 1.0, 129)
@@ -697,6 +704,71 @@ def test_mc_accepts_numpy_integers(fpa_pair):
     assert a == b
     assert type(a.rounds) is int and type(a.seed) is int
     json.dumps(a.to_json())
+
+
+#: every numeric constructor parameter, as a function of the value passed to it
+_NUMERIC_PARAMETERS = {
+    "NoisyWin.scale": lambda x: NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), scale=x),
+    "DiscreteNoise.points": lambda x: DiscreteNoise([-1.0, x], [0.5, 0.5]),
+    "DiscreteNoise.probs": lambda x: DiscreteNoise([-1.0, 1.0], [0.5, x]),
+    "LinearUtility.shift": lambda x: LinearUtility(shift=x),
+    "CARAUtility.alpha": lambda x: CARAUtility(x),
+    "CARAUtility.shift": lambda x: CARAUtility(1.0, shift=x),
+    "CRRAUtility.rho": lambda x: CRRAUtility(x),
+    "CRRAUtility.shift": lambda x: CRRAUtility(0.5, shift=x),
+    "LogUtility.shift": lambda x: LogUtility(shift=x),
+    "PiecewiseLinearUtility.knot": lambda x: PiecewiseLinearUtility([(x, 2.0), (1.0, 1.0)]),
+    "PiecewiseLinearUtility.slope": lambda x: PiecewiseLinearUtility([(0.0, 2.0), (1.0, x)]),
+    "PiecewiseLinearUtility.shift": lambda x: PiecewiseLinearUtility([(0.0, 1.0)], shift=x),
+    "UniformDist.lo": lambda x: UniformDist(x, 1.0),
+    "UniformDist.hi": lambda x: UniformDist(0.0, x),
+    "PowerDist.k": lambda x: PowerDist(x, 0.0, 1.0),
+    "TruncatedNormalDist.mu": lambda x: TruncatedNormalDist(x, 1.0, 0.0, 1.0),
+    "TruncatedNormalDist.sigma": lambda x: TruncatedNormalDist(0.5, x, 0.0, 1.0),
+    "ValueModel.weight": lambda x: ValueModel.mixture([(x, UniformDist(0.0, 1.0))], 2),
+    "ConstantOutside.s0": lambda x: ConstantOutside(x),
+    "AffineOutside.c0": lambda x: AffineOutside(x, 0.0),
+    "AffineOutside.c1": lambda x: AffineOutside(0.0, x),
+    "TableOutside.abscissa": lambda x: TableOutside([(0.0, 0.0), (x, 1.0)]),
+    "TableOutside.value": lambda x: TableOutside([(0.0, 0.0), (1.0, x)]),
+    "FPAScenario.boundary_bid": lambda x: FPAScenario(values=U3, boundary_bid=x),
+    "FPAScenario.ode_tol": lambda x: FPAScenario(values=U3, ode_tol=x),
+    "FPAScenario.start_offset": lambda x: FPAScenario(values=U3, start_offset=x),
+    "SPAScenario.root_tol": lambda x: SPAScenario(values=U3, root_tol=x),
+    "EquilibriumSolution.v_floor": lambda x: EquilibriumSolution.from_grid(
+        [0.0, 1.0], [0.0, 0.5], v_floor=x),
+    "EquilibriumSolution.boundary_bid": lambda x: EquilibriumSolution.from_grid(
+        [0.0, 1.0], [0.0, 0.5], boundary_bid=x),
+    # the tolerance is checked before the schedule is read
+    "best_response_audit.audit_tol": lambda x: best_response_audit(
+        "spa", SPAScenario(values=U3), None, audit_tol=x),
+}
+#: integer counts, which also refuse a bool
+_COUNT_PARAMETERS = {
+    "SPAScenario.units": lambda x: SPAScenario(values=U3, units=x),
+    "SPAScenario.grid": lambda x: SPAScenario(values=U3, grid=x),
+    "ValueModel.n": lambda x: ValueModel.iid(UniformDist(0.0, 1.0), x),
+}
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")]).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x), np.float32(x)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_numeric_parameter_refuses_non_finite_values(data):
+    params = data.draw(st.sampled_from([_NUMERIC_PARAMETERS, _COUNT_PARAMETERS]))
+    name = data.draw(st.sampled_from(sorted(params)))
+    bad = data.draw(_NON_FINITE | st.just(True) if params is _COUNT_PARAMETERS else _NON_FINITE)
+    with pytest.raises(ConfigError):
+        params[name](bad)
+
+
+def test_numeric_parameters_take_numpy_scalars():
+    # a numpy scalar passes without a RuntimeWarning (the suite makes them errors)
+    assert CARAUtility(np.float32(2.0), shift=np.int64(1)).alpha == 2.0
+    assert PowerDist(np.float16(0.5), np.float32(0.0), np.uint8(1)).k == 0.5
+    assert SPAScenario(values=U3, root_tol=np.float32(1e-6), units=np.int8(2)).units == 2
+    assert ValueModel.iid(UniformDist(0.0, 1.0), np.int64(3)).n == 3
 
 
 def test_mc_standard_error_is_shift_invariant():
