@@ -11,7 +11,8 @@ sufficient to reproduce the run bit for bit.
 
 import json
 
-from .errors import ConfigError, finite_number, positive_number
+from .errors import (ConfigError, finite_number, finite_numbers, finite_pairs, integer_count,
+                     positive_number)
 from .fpa import FPAScenario
 from .outcomes import (
     AffineOutside,
@@ -60,21 +61,6 @@ def _check_keys(doc, allowed, required, where):
         raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
 
 
-def _numbers(val, where, length=None):
-    """A nonempty list of finite numbers, of exactly ``length`` if given."""
-    if not isinstance(val, (list, tuple)) or not val or (length and len(val) != length):
-        size = f"{length} numbers" if length else "a nonempty list of numbers"
-        raise ConfigError(f"{where} must be {size}, got {val!r}")
-    return [finite_number(x, f"{where}[{i}]") for i, x in enumerate(val)]
-
-
-def _pairs(val, where):
-    """A nonempty list of [x, y] number pairs."""
-    if not (isinstance(val, (list, tuple)) and val):
-        raise ConfigError(f"{where} must be a nonempty list of [x, y] pairs, got {val!r}")
-    return [tuple(_numbers(p, f"{where}[{i}]", 2)) for i, p in enumerate(val)]
-
-
 def _build_tagged(doc, tag, table, where, *extra):
     """Build the object a tagged document names.
 
@@ -107,15 +93,15 @@ _UTILITIES = {
     "crra": (CRRAUtility, {"rho": _NUM}, _SHIFT),
     "crra_log": (LogUtility, {}, _SHIFT),
     "cara": (CARAUtility, {"alpha": _NUM}, _SHIFT),
-    "piecewise_linear": (PiecewiseLinearUtility, {"knots": _pairs}, _SHIFT),
+    "piecewise_linear": (PiecewiseLinearUtility, {"knots": finite_pairs}, _SHIFT),
 }
 _OUTSIDES = {
     "constant": (ConstantOutside, {}, {"s0": _NUM}),
     "affine": (AffineOutside, {"c0": _NUM, "c1": _NUM}, {}),
-    "table": (TableOutside, {"points": _pairs}, {}),
+    "table": (TableOutside, {"points": finite_pairs}, {}),
 }
 _NOISES = {
-    "discrete": (DiscreteNoise, {"points": _numbers, "probs": _numbers}, {}),
+    "discrete": (DiscreteNoise, {"points": finite_numbers, "probs": finite_numbers}, {}),
     "uniform": (UniformNoise, {"lo": _NUM, "hi": _NUM}, {}),
     "truncated_normal": (
         TruncatedNormalNoise,
@@ -142,7 +128,7 @@ def _build_values(doc):
         required={"support", "n", "kind"},
         where="values",
     )
-    lo, hi = _numbers(doc["support"], "values.support", 2)
+    lo, hi = finite_numbers(doc["support"], "values.support", 2)
     kind = doc["kind"]
     if kind == "iid":
         if "dist" not in doc or "components" in doc:
@@ -220,14 +206,10 @@ def build_scenario(doc):
     outside_doc = doc.get("outside_option", {"form": "constant"})
     outside = _build_tagged(outside_doc, "form", _OUTSIDES, "outside_option")
     tolerances = _build_tolerances(doc.get("tolerances"))
-    grid = doc.get("grid", 257)
-    if not isinstance(grid, int) or isinstance(grid, bool):
-        raise ConfigError(f"grid must be an integer, got {grid!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = integer_count(doc.get("seed", 0), "seed", 0)
 
-    shared = dict(values=values, outside=outside, utility=utility, transform=transform, grid=grid)
+    shared = dict(values=values, outside=outside, utility=utility, transform=transform,
+                  grid=doc.get("grid", 257))
     if fmt == "fpa":
         boundary = doc.get("boundary_bid")
         scenario = FPAScenario(
@@ -237,9 +219,7 @@ def build_scenario(doc):
         )
         own = {"boundary_bid": scenario.boundary_bid}
     else:
-        units = doc.get("K", 1)
-        if not isinstance(units, int) or isinstance(units, bool):
-            raise ConfigError(f"K must be an integer, got {units!r}")
+        units = integer_count(doc.get("K", 1), "K", 1)
         if fmt == "spa" and units != 1:
             raise ConfigError(
                 "second price sells exactly one unit; use format 'uniform' for K >= 2"
@@ -260,7 +240,7 @@ def build_scenario(doc):
         "utility": utility.to_config(),
         "transform": None if transform is None else transform.to_config(),
         "outside_option": outside.to_config(),
-        "grid": grid,
+        "grid": scenario.grid,
         "tolerances": tolerances,
         "seed": seed,
         **own,

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError, finite_number
+from .errors import ConfigError, finite_number, finite_numbers, finite_pairs
 from .values import TruncatedNormalDist, UniformDist
 
 _GL_ORDERS = (32, 64)  # a law's rules; the last is its default
@@ -72,18 +72,12 @@ class TableOutside(OutsideOption):
     """Piecewise-linear interpolation through (v, s) points; flat outside."""
 
     def __init__(self, points):
-        pts = [(float(v), float(s)) for v, s in points]
+        pts = finite_pairs(points, "table points")
         if len(pts) < 2:
             raise ConfigError("table outside option needs at least two points")
-        vs = np.array([p[0] for p in pts])
-        ss = np.array([p[1] for p in pts])
-        if np.any(np.diff(vs) <= 0):
+        self.vs, self.ss = pts.T.copy()
+        if np.any(np.diff(self.vs) <= 0):
             raise ConfigError("table abscissae must be strictly increasing")
-        for name, a in (("abscissae", vs), ("values", ss)):
-            if not np.all(np.isfinite(a)):
-                raise ConfigError(f"table {name} must be finite")
-        self.vs = vs
-        self.ss = ss
 
     def value(self, v):
         out = np.interp(np.asarray(v, dtype=float), self.vs, self.ss)
@@ -117,14 +111,12 @@ class NoiseDist:
 
 class DiscreteNoise(NoiseDist):
     def __init__(self, points, probs):
-        points = np.asarray(points, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        if points.ndim != 1 or points.size == 0 or points.shape != probs.shape:
+        points = finite_numbers(points, "discrete noise points")
+        probs = finite_numbers(probs, "discrete noise probs")
+        if points.shape != probs.shape:
             raise ConfigError("discrete noise needs matching point/prob vectors")
         if not (np.all(probs >= 0) and 0 < probs.sum() < np.inf):
             raise ConfigError("discrete noise probabilities must be finite and nonnegative")
-        if not np.all(np.isfinite(points)):
-            raise ConfigError("discrete noise points must be finite")
         self.points = points
         self.probs = probs / probs.sum()
         self.support = (float(points.min()), float(points.max()))

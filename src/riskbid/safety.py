@@ -39,6 +39,7 @@ from .errors import (
     OutsideOptionNotConstant,
     PreconditionError,
     finite_number,
+    finite_numbers,
 )
 from .utility import PiecewiseLinearUtility
 
@@ -76,16 +77,11 @@ class StateRecord:
 class FiniteDecisionProblem:
     """Two payoff vectors over a common finite state space."""
 
-    def __init__(self, a, b, states=None):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.ndim != 1 or a.size == 0 or a.shape != b.shape:
+    def __init__(self, a, b):
+        self.a = finite_numbers(a, "payoffs a")
+        self.b = finite_numbers(b, "payoffs b")
+        if self.a.shape != self.b.shape:
             raise ConfigError("payoff vectors must be 1-d, nonempty, equal length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ConfigError("payoffs must be finite")
-        self.a = a
-        self.b = b
-        self.states = tuple(states) if states is not None else None
 
     @property
     def n_states(self):
@@ -117,7 +113,6 @@ class AuctionPartition:
 class SafetyVerdict:
     safer: bool
     witness: Optional[tuple] = None
-    dominance: Dominance = Dominance.NONE
 
 
 @dataclass(frozen=True)
@@ -224,11 +219,11 @@ def belief_inclusion_probe(problem, base_utility, transform, beliefs):
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     if beliefs.shape[1] != problem.n_states:
         raise ConfigError("belief dimension does not match the state space")
-    if np.any(beliefs < -1e-12):
-        raise ConfigError("beliefs must be nonnegative")
-    sums = beliefs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ConfigError("beliefs must sum to one")
+    # written so that a NaN or an inf fails them
+    if not np.all(beliefs >= -1e-12):
+        raise ConfigError("beliefs must be finite and nonnegative")
+    if not np.all(np.abs(beliefs.sum(axis=1) - 1.0) <= 1e-9):
+        raise ConfigError("beliefs must be finite and sum to one")
 
     ua, ub = base_utility.value(problem.a), base_utility.value(problem.b)
     ta, tb = transform.value(ua), transform.value(ub)
@@ -407,7 +402,7 @@ def fpa_higher_bid_safer(bid_a, bid_b, states):
     cols = _Columns.of(states)
     pay_a = _payoffs(bid_a, cols, "high", pays_bid=True)
     pay_b = _payoffs(bid_b, cols, "low", pays_bid=True)
-    problem = FiniteDecisionProblem(pay_a, pay_b, states)
+    problem = FiniteDecisionProblem(pay_a, pay_b)
     part = partition_abc(problem)
     apart = auction_partition(bid_a, bid_b, cols)
 
@@ -453,7 +448,7 @@ def spa_lower_bid_safer(bid_a, bid_b, states, require_constant_outside=True):
         )
     pay_hi = _payoffs(bid_a, cols, "high", pays_bid=False)
     pay_lo = _payoffs(bid_b, cols, "low", pays_bid=False)
-    problem = FiniteDecisionProblem(pay_lo, pay_hi, states)
+    problem = FiniteDecisionProblem(pay_lo, pay_hi)
     apart = auction_partition(bid_a, bid_b, cols)
 
     # both bids pay the same price when both (or neither) win

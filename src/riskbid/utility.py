@@ -28,7 +28,7 @@ risk-averse preference over the same payoffs.
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, finite_number, positive_number
+from .errors import ConfigError, DomainError, finite_number, finite_pairs, positive_number
 
 
 class Utility:
@@ -211,14 +211,11 @@ class PiecewiseLinearUtility(Utility):
     """
 
     def __init__(self, knots, shift=0.0):
-        knots = [(finite_number(x, "piecewise-linear knot"),
-                  finite_number(m, "piecewise-linear slope")) for x, m in knots]
-        if not knots:
+        if isinstance(knots, (list, tuple)) and not knots:
             raise ConfigError("piecewise-linear utility needs at least one knot")
         # a handful of knots: checked and summed on Python floats, which
         # round as numpy does
-        xs = [x for x, _ in knots]
-        ms = [m for _, m in knots]
+        xs, ms = finite_pairs(knots, "piecewise-linear knots").T.tolist()
         if any(b - a <= 0 for a, b in zip(xs, xs[1:])):
             raise ConfigError("piecewise-linear knots must be strictly increasing")
         if any(m <= 0 for m in ms):

@@ -48,9 +48,10 @@ def test_table_config_errors(points, match):
 def test_table_rejects_non_finite_values():
     # the config parser refuses non-finite numbers itself, so only the
     # library reaches this check
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="^table values must be finite$"):
-            TableOutside([(0.0, 0.0), (1.0, bad)])
+    for bad in ("nan", "inf"):
+        with pytest.raises(ConfigError,
+                           match=rf"^table points\[1\]\[1\] must be a finite number, got {bad}$"):
+            TableOutside([(0.0, 0.0), (1.0, float(bad))])
 
 
 def test_spa_cara_table_matches_certainty_equivalent():

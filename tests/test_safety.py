@@ -149,6 +149,17 @@ def test_probe_validates_beliefs():
         belief_inclusion_probe(p, LinearUtility(), CARAUtility(1.0), [[0.5, 0.5, 0.0]])
 
 
+@pytest.mark.parametrize("belief", [
+    [np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf, np.inf],
+], ids=repr)
+def test_probe_refuses_non_finite_beliefs(belief):
+    # a comparison with NaN is False, so a check written as "any entry too
+    # small" lets a NaN belief through as one that holds
+    p = FiniteDecisionProblem([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ConfigError, match="^beliefs must be finite and "):
+        belief_inclusion_probe(p, LinearUtility(), CRRAUtility(0.5, shift=1), [belief])
+
+
 def test_witness_search_finds_flip():
     p = FiniteDecisionProblem([2.0, 0.0], [1.0, 1.0])
     found = find_violation_witness(p, LinearUtility())

@@ -19,6 +19,7 @@ from riskbid import (
     DeterministicWin,
     DiscreteNoise,
     EquilibriumSolution,
+    FiniteDecisionProblem,
     FPAScenario,
     LinearUtility,
     LogUtility,
@@ -709,8 +710,6 @@ def test_mc_accepts_numpy_integers(fpa_pair):
 #: every numeric constructor parameter, as a function of the value passed to it
 _NUMERIC_PARAMETERS = {
     "NoisyWin.scale": lambda x: NoisyWin(DiscreteNoise([-1.0, 1.0], [0.5, 0.5]), scale=x),
-    "DiscreteNoise.points": lambda x: DiscreteNoise([-1.0, x], [0.5, 0.5]),
-    "DiscreteNoise.probs": lambda x: DiscreteNoise([-1.0, 1.0], [0.5, x]),
     "LinearUtility.shift": lambda x: LinearUtility(shift=x),
     "CARAUtility.alpha": lambda x: CARAUtility(x),
     "CARAUtility.shift": lambda x: CARAUtility(1.0, shift=x),
@@ -729,8 +728,6 @@ _NUMERIC_PARAMETERS = {
     "ConstantOutside.s0": lambda x: ConstantOutside(x),
     "AffineOutside.c0": lambda x: AffineOutside(x, 0.0),
     "AffineOutside.c1": lambda x: AffineOutside(0.0, x),
-    "TableOutside.abscissa": lambda x: TableOutside([(0.0, 0.0), (x, 1.0)]),
-    "TableOutside.value": lambda x: TableOutside([(0.0, 0.0), (1.0, x)]),
     "FPAScenario.boundary_bid": lambda x: FPAScenario(values=U3, boundary_bid=x),
     "FPAScenario.ode_tol": lambda x: FPAScenario(values=U3, ode_tol=x),
     "FPAScenario.start_offset": lambda x: FPAScenario(values=U3, start_offset=x),
@@ -749,6 +746,27 @@ _COUNT_PARAMETERS = {
     "SPAScenario.grid": lambda x: SPAScenario(values=U3, grid=x),
     "ValueModel.n": lambda x: ValueModel.iid(UniformDist(0.0, 1.0), x),
 }
+#: entries of numeric lists, each given in a list and in an array; an entry
+#: also refuses a bool.  np.array([x, x]) keeps a bool a bool; a table's
+#: array holds objects, as a float array would turn True into 1.0
+_ENTRY_PARAMETERS = {
+    "TableOutside.abscissa": lambda x: TableOutside([(0.0, 0.0), (x, 1.0)]),
+    "TableOutside.abscissa array": lambda x: TableOutside(
+        np.array([(0.0, 0.0), (x, 1.0)], dtype=object)),
+    "TableOutside.value": lambda x: TableOutside([(0.0, 0.0), (1.0, x)]),
+    "TableOutside.value array": lambda x: TableOutside(
+        np.array([(0.0, 0.0), (1.0, x)], dtype=object)),
+    "DiscreteNoise.point": lambda x: DiscreteNoise([-1.0, x], [0.5, 0.5]),
+    "DiscreteNoise.point array": lambda x: DiscreteNoise(np.array([x, x]), [0.5, 0.5]),
+    "DiscreteNoise.prob": lambda x: DiscreteNoise([-1.0, 1.0], [0.5, x]),
+    "DiscreteNoise.prob array": lambda x: DiscreteNoise([-1.0, 1.0], np.array([x, x])),
+    "FiniteDecisionProblem.a": lambda x: FiniteDecisionProblem([x, 0.0], [0.0, 1.0]),
+    "FiniteDecisionProblem.a array": lambda x: FiniteDecisionProblem(
+        np.array([x, x]), np.array([0.0, 1.0])),
+    "FiniteDecisionProblem.b": lambda x: FiniteDecisionProblem([1.0, 0.0], [0.0, x]),
+    "FiniteDecisionProblem.b array": lambda x: FiniteDecisionProblem(
+        np.array([1.0, 0.0]), np.array([x, x])),
+}
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")]).flatmap(
     lambda x: st.sampled_from([x, np.float64(x), np.float32(x)]))
 
@@ -756,9 +774,13 @@ _NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")]).flatm
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_every_numeric_parameter_refuses_non_finite_values(data):
-    params = data.draw(st.sampled_from([_NUMERIC_PARAMETERS, _COUNT_PARAMETERS]))
+    params, values = data.draw(st.sampled_from([
+        (_NUMERIC_PARAMETERS, _NON_FINITE),
+        (_COUNT_PARAMETERS, _NON_FINITE | st.just(True)),
+        (_ENTRY_PARAMETERS, _NON_FINITE | st.sampled_from([True, np.True_])),
+    ]))
     name = data.draw(st.sampled_from(sorted(params)))
-    bad = data.draw(_NON_FINITE | st.just(True) if params is _COUNT_PARAMETERS else _NON_FINITE)
+    bad = data.draw(values)
     with pytest.raises(ConfigError):
         params[name](bad)
 
@@ -769,6 +791,38 @@ def test_numeric_parameters_take_numpy_scalars():
     assert PowerDist(np.float16(0.5), np.float32(0.0), np.uint8(1)).k == 0.5
     assert SPAScenario(values=U3, root_tol=np.float32(1e-6), units=np.int8(2)).units == 2
     assert ValueModel.iid(UniformDist(0.0, 1.0), np.int64(3)).n == 3
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: TableOutside([(True, 0.0), (2.0, 1.0)]), id="table-bool"),
+    pytest.param(lambda: DiscreteNoise([True, 2.0], [0.5, True]), id="noise-bool"),
+    pytest.param(lambda: FiniteDecisionProblem(np.array([True, False]), [0.0, 1.0]),
+                 id="problem-bool-array"),
+    pytest.param(lambda: TableOutside([(0, 1, 2), (1, 2, 3)]), id="table-triples"),
+    pytest.param(lambda: PiecewiseLinearUtility([(0, 1, 2)]), id="knots-triple"),
+    pytest.param(lambda: DiscreteNoise(["x"], [1.0]), id="noise-string"),
+    pytest.param(lambda: FiniteDecisionProblem(["a"], ["b"]), id="problem-strings"),
+    pytest.param(lambda: TableOutside(5), id="table-scalar"),
+    pytest.param(lambda: PiecewiseLinearUtility(5), id="knots-scalar"),
+])
+def test_malformed_number_lists_raise_config_error(make):
+    # bools, ragged pairs, strings and scalars where a list belongs
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_number_lists_take_arrays():
+    table = TableOutside(np.array([[0.0, 0.5], [1.0, 2.0], [3.0, 2.5]]))
+    assert table.vs.tolist() == [0.0, 1.0, 3.0] and table.ss.tolist() == [0.5, 2.0, 2.5]
+    noise = DiscreteNoise(np.array([-1.0, 0.0, 2.0]), np.array([1, 2, 1], dtype=np.int64))
+    assert noise.points.tolist() == [-1.0, 0.0, 2.0]
+    assert noise.probs.tolist() == [0.25, 0.5, 0.25]
+    problem = FiniteDecisionProblem(np.array([3, 1], dtype=np.int32),
+                                    np.array([2.5, 1.5], dtype=np.float32))
+    assert problem.a.dtype == problem.b.dtype == np.float64
+    assert problem.a.tolist() == [3.0, 1.0] and problem.b.tolist() == [2.5, 1.5]
+    knots = PiecewiseLinearUtility(np.array([[0.0, 2.0], [1.0, 1.0]]))
+    assert knots.to_config() == PiecewiseLinearUtility([(0.0, 2.0), (1.0, 1.0)]).to_config()
 
 
 def test_mc_standard_error_is_shift_invariant():
