@@ -1,9 +1,10 @@
 """Exception and warning types shared across the library, and the checks every
-numeric parameter passes on its way in: a finite number, a count, or a list, tuple
-or array of finite numbers or of number pairs, none a bool, naming a bad entry."""
+numeric parameter passes on its way in: a finite number, a count, or a list, tuple,
+iterable or array of finite numbers or number pairs, none a bool, naming a bad entry."""
 
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -31,29 +32,29 @@ def finite_number(val, where):
     return float(val)
 
 
-def _nonempty_list(val):  # a list, a tuple or an array of one or more dimensions
-    return isinstance(val, (list, tuple, np.ndarray)) and getattr(val, "ndim", 1) and len(val)
+def _entries(val, ndim):  # an iterable's entries as a tuple, an ndim-d array as is; else ()
+    if isinstance(val, np.ndarray):
+        return val if val.ndim == ndim else ()
+    if isinstance(val, Iterable) and not isinstance(val, (str, bytes, Mapping)):
+        return tuple(val)
+    return ()
 
 
 def finite_numbers(val, where, length=None):
-    """``val`` as a 1-d float array; ConfigError unless a nonempty list, tuple or
-    array of finite numbers, of exactly ``length`` if given."""
-    if not _nonempty_list(val) or (length and len(val) != length):
+    """``val`` as a 1-d float array; ConfigError unless a nonempty list, tuple,
+    iterable or 1-d array of finite numbers, of exactly ``length`` if given."""
+    if not len(entries := _entries(val, 1)) or (length and len(entries) != length):
         size = f"{length} numbers" if length else "a nonempty list of numbers"
         raise ConfigError(f"{where} must be {size}, got {val!r}")
-    if isinstance(val, np.ndarray) and val.ndim == 1 and val.dtype.kind in "iuf":
-        out = val.astype(float)  # a copy; numeric dtypes skip the per-entry check
-        if np.isfinite(out).all():
-            return out
-    return np.array([finite_number(x, f"{where}[{i}]") for i, x in enumerate(val)])
+    return np.array([finite_number(x, f"{where}[{i}]") for i, x in enumerate(entries)])
 
 
 def finite_pairs(val, where):
     """``val`` as an (n, 2) float array; ConfigError unless a nonempty list,
-    tuple or array of [x, y] pairs of finite numbers."""
-    if not _nonempty_list(val):
+    tuple, iterable or (n, 2) array of [x, y] pairs of finite numbers."""
+    if not len(entries := _entries(val, 2)):
         raise ConfigError(f"{where} must be a nonempty list of [x, y] pairs, got {val!r}")
-    return np.array([finite_numbers(p, f"{where}[{i}]", 2) for i, p in enumerate(val)])
+    return np.array([finite_numbers(p, f"{where}[{i}]", 2) for i, p in enumerate(entries)])
 
 
 def positive_number(val, where):

@@ -81,7 +81,7 @@ class FiniteDecisionProblem:
         self.a = finite_numbers(a, "payoffs a")
         self.b = finite_numbers(b, "payoffs b")
         if self.a.shape != self.b.shape:
-            raise ConfigError("payoff vectors must be 1-d, nonempty, equal length")
+            raise ConfigError("payoff vectors must have equal length")
 
     @property
     def n_states(self):

@@ -213,8 +213,7 @@ class PiecewiseLinearUtility(Utility):
     def __init__(self, knots, shift=0.0):
         if isinstance(knots, (list, tuple)) and not knots:
             raise ConfigError("piecewise-linear utility needs at least one knot")
-        # a handful of knots: checked and summed on Python floats, which
-        # round as numpy does
+        # a handful of knots: checked and summed as Python floats (rounding as numpy does)
         xs, ms = finite_pairs(knots, "piecewise-linear knots").T.tolist()
         if any(b - a <= 0 for a, b in zip(xs, xs[1:])):
             raise ConfigError("piecewise-linear knots must be strictly increasing")

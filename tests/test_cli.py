@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from riskbid import (
 )
 from riskbid.cli import main, read_solution_csv
 from riskbid.config import build_scenario
-from riskbid.errors import OrderingViolation
+from riskbid.errors import ConfigError, OrderingViolation
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
@@ -135,6 +136,25 @@ def test_solve_uniform_rejects_too_many_units(tmp_path):
     doc["K"] = 3  # equals the number of bidders
     cfg = write_cfg(tmp_path, doc)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("fmt, key, val, text", [
+    ("spa", "K", 0, "K must be an integer >= 1, got 0"),
+    ("spa", "K", 2, "second price sells exactly one unit; use format 'uniform' for K >= 2"),
+    ("uniform", "K", 0, "K must be an integer >= 1, got 0"),
+    ("uniform", "K", True, "K must be an integer >= 1, got True"),
+    ("uniform", "K", 2.5, "K must be an integer >= 1, got 2.5"),
+    ("spa", "seed", -1, "seed must be an integer >= 0, got -1"),
+    ("spa", "seed", True, "seed must be an integer >= 0, got True"),
+    ("spa", "seed", 2.5, "seed must be an integer >= 0, got 2.5"),
+    ("spa", "grid", 2.5, "grid must be an integer >= 64, got 2.5"),
+])
+def test_config_counts_share_one_rule(fmt, key, val, text):
+    # K and seed go through errors.integer_count, and grid through the
+    # scenario's own check, so each count reads the same way
+    doc = {**SPA_CFG, "format": fmt, key: val}
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        build_scenario(doc)
 
 
 def test_solve_domain_breach_is_solver_error(tmp_path):

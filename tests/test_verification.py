@@ -1,6 +1,7 @@
 """Unit tests for report-utility curves, audits, and Monte Carlo runs."""
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -811,6 +812,21 @@ def test_malformed_number_lists_raise_config_error(make):
         make()
 
 
+@pytest.mark.parametrize("make, text", [
+    (lambda: FiniteDecisionProblem(np.ones((2, 2)), [1.0, 2.0]),
+     "payoffs a must be a nonempty list of numbers, got array("),
+    (lambda: DiscreteNoise([1.0], np.ones((1, 1))),
+     "discrete noise probs must be a nonempty list of numbers, got array("),
+    (lambda: TableOutside(np.array([0.0, 1.0])),
+     "table points must be a nonempty list of [x, y] pairs, got array("),
+    (lambda: FiniteDecisionProblem([1.0], [1.0, 2.0]), "payoff vectors must have equal length"),
+])
+def test_number_lists_of_the_wrong_shape_say_so(make, text):
+    # an array of the wrong dimension is refused whole, not entry by entry
+    with pytest.raises(ConfigError, match="^" + re.escape(text)):
+        make()
+
+
 def test_number_lists_take_arrays():
     table = TableOutside(np.array([[0.0, 0.5], [1.0, 2.0], [3.0, 2.5]]))
     assert table.vs.tolist() == [0.0, 1.0, 3.0] and table.ss.tolist() == [0.5, 2.0, 2.5]
@@ -823,6 +839,16 @@ def test_number_lists_take_arrays():
     assert problem.a.tolist() == [3.0, 1.0] and problem.b.tolist() == [2.5, 1.5]
     knots = PiecewiseLinearUtility(np.array([[0.0, 2.0], [1.0, 1.0]]))
     assert knots.to_config() == PiecewiseLinearUtility([(0.0, 2.0), (1.0, 1.0)]).to_config()
+
+
+def test_number_lists_take_any_iterable():
+    assert TableOutside(zip([0.0, 1.0], [0.5, 2.0])).ss.tolist() == [0.5, 2.0]
+    assert TableOutside({0.0: 0.5, 1.0: 2.0}.items()).vs.tolist() == [0.0, 1.0]
+    knots = PiecewiseLinearUtility(zip([0.0, 1.0], [2.0, 1.0]))
+    assert knots.to_config() == PiecewiseLinearUtility([(0.0, 2.0), (1.0, 1.0)]).to_config()
+    assert DiscreteNoise(range(3), [1, 1, 2]).probs.tolist() == [0.25, 0.25, 0.5]
+    problem = FiniteDecisionProblem(range(3), (x / 2 for x in range(3)))
+    assert problem.a.tolist() == [0.0, 1.0, 2.0] and problem.b.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_mc_standard_error_is_shift_invariant():
