@@ -23,6 +23,8 @@ class ConfigError(RiskbidError):
 
 def finite_number(val, where):
     """``val`` as a float; ConfigError unless a finite real number (not a bool)."""
+    if type(val) is float and math.isfinite(val):  # taken as it is
+        return val
     try:  # math.isfinite, unlike a comparison, takes a numpy scalar without a warning
         ok = isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
     except OverflowError:  # an int past the float range
@@ -40,13 +42,21 @@ def _entries(val, ndim):  # an iterable's entries as a tuple, an ndim-d array as
     return ()
 
 
+def _floats(val, where, length=None, i=None):  # finite_numbers as a list; i: entry i of where
+    if not len(entries := _entries(val, 1)) or (length and len(entries) != length):
+        size = f"{length} numbers" if length else "a nonempty list of numbers"
+        raise ConfigError(f"{where if i is None else f'{where}[{i}]'} must be {size}, got {val!r}")
+    try:  # an entry's label is built only to name a bad entry, on a second pass
+        return [finite_number(x, where) for x in entries]
+    except ConfigError:
+        where = where if i is None else f"{where}[{i}]"
+        return [finite_number(x, f"{where}[{j}]") for j, x in enumerate(entries)]
+
+
 def finite_numbers(val, where, length=None):
     """``val`` as a 1-d float array; ConfigError unless a nonempty list, tuple,
     iterable or 1-d array of finite numbers, of exactly ``length`` if given."""
-    if not len(entries := _entries(val, 1)) or (length and len(entries) != length):
-        size = f"{length} numbers" if length else "a nonempty list of numbers"
-        raise ConfigError(f"{where} must be {size}, got {val!r}")
-    return np.array([finite_number(x, f"{where}[{i}]") for i, x in enumerate(entries)])
+    return np.array(_floats(val, where, length))
 
 
 def finite_pairs(val, where):
@@ -54,7 +64,15 @@ def finite_pairs(val, where):
     tuple, iterable or (n, 2) array of [x, y] pairs of finite numbers."""
     if not len(entries := _entries(val, 2)):
         raise ConfigError(f"{where} must be a nonempty list of [x, y] pairs, got {val!r}")
-    return np.array([finite_numbers(p, f"{where}[{i}]", 2) for i, p in enumerate(entries)])
+    return np.array([_floats(p, where, 2, i) for i, p in enumerate(entries)])
+
+
+def _float_array(val, where):
+    """``val`` as a float array, its dtype checked before it is converted;
+    ConfigError naming ``where`` unless it holds integers or floats."""
+    if (arr := np.asarray(val)).dtype.kind not in "iuf":  # no bools, strings or objects
+        raise ConfigError(f"{where} must hold numbers, got {arr.dtype} entries")
+    return arr.astype(float, copy=False)
 
 
 def positive_number(val, where):

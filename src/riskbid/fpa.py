@@ -16,7 +16,8 @@ The win probability vanishes at the bottom type, so the equation is
 singular there.  Integration therefore starts a small offset above the
 bottom, with the initial bid obtained from an implicit micro-step: the
 starting slope solves slope = hazard * tradeoff evaluated at the bid
-the slope itself implies, clipped so the starting bid keeps strictly
+the slope itself implies (a root found by ``_numerics.brentq``, scipy's
+``brentq`` step for step), clipped so the starting bid keeps strictly
 positive surplus.  The attracting character of the singular point makes
 the solution insensitive to the exact offset.
 
@@ -39,10 +40,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
-from . import _dop853
+from . import _dop853, _numerics
 from .errors import (
     ConfigError,
     DomainError,
@@ -51,6 +50,7 @@ from .errors import (
     OrderingViolation,
     SingularHazard,
     SolverWarning,
+    _float_array,
     finite_number,
     integer_count,
     positive_number,
@@ -192,9 +192,9 @@ class EquilibriumSolution:
     ``derivative_check`` its normalized maximum.
 
     Every schedule, fresh or rebuilt by :meth:`from_grid`, evaluates
-    scipy's not-a-knot ``CubicSpline`` of its grid (fitted on first use;
-    two points give a line, three a parabola), bit for bit: the same
-    coefficients, with each point's piece located by index arithmetic on
+    scipy's not-a-knot ``CubicSpline`` of its grid bit for bit (fitted on
+    first use by ``_numerics.not_a_knot``; two points give a line, three
+    a parabola), with each point's piece located by index arithmetic on
     an evenly spaced grid and by ``searchsorted`` on any other.
     """
 
@@ -243,15 +243,17 @@ class EquilibriumSolution:
     def from_grid(cls, grid, bids, residuals=None, v_floor=None, boundary_bid=None):
         """Rebuild a solution from tabulated values (e.g. a CSV round trip).
 
-        Raises ``ConfigError``, naming the first offending row (counted
-        from 0), unless the columns have equal lengths of at least two
-        rows, every entry is finite and the grid strictly increases.
+        Raises ``ConfigError``, naming a column that holds bools, strings
+        or objects, or else the first offending row (counted from 0), unless
+        the columns have equal lengths of at least two rows, every entry is
+        finite and the grid strictly increases.
         ``derivative_check`` is the unscaled maximum |residual| over all
         points, not the solver's scaled maximum over interior points.
         """
-        grid = np.asarray(grid, dtype=float)
-        bids = np.asarray(bids, dtype=float)
-        residuals = np.zeros_like(grid) if residuals is None else np.asarray(residuals, dtype=float)
+        grid = _float_array(grid, "solution column v")
+        bids = _float_array(bids, "solution column beta")
+        residuals = (np.zeros_like(grid) if residuals is None
+                     else _float_array(residuals, "solution column residual"))
         _check_table(grid, bids, residuals)
         diffs = np.diff(bids)
         return cls(
@@ -296,23 +298,22 @@ _BLOCK = 1 << 15
 class _IndexedCubic:
     """scipy's ``CubicSpline(grid, bids)``, evaluated without its binary search.
 
-    ``CubicSpline`` fits the not-a-knot coefficients.  A point t in
-    [grid[0], grid[-1]] lies on piece j with grid[j] <= t < grid[j+1],
-    the last piece closed, as scipy locates it.  When every knot lies
-    within h/4 of an even spacing h (any ``linspace``), j is the
-    truncated index (t - grid[0]) / h, which is off by at most one, and
-    one fix-up step each way makes it exact (de Boor, *A Practical Guide
-    to Splines*, ch. VII).  Any other grid takes ``searchsorted``, which
-    on unsorted points is no faster than scipy's own search, so the
-    index route is where the saving comes from.  The
-    value is summed in scipy's order, c3 + c2*s + c1*s^2 + c0*s^3 with
-    the powers built by repeated products (not Horner's rule), so it
-    equals scipy's bit for bit.  Points must lie in [grid[0], grid[-1]]
-    (``bid_at`` handles the rest); a nan stays nan.
+    ``_numerics.not_a_knot`` fits scipy's not-a-knot coefficients in the
+    package (a 3-row grid alone imports scipy).  A point t in [grid[0],
+    grid[-1]] lies on piece j with grid[j] <= t < grid[j+1], the last
+    piece closed, as scipy locates it.  When every knot lies within h/4
+    of an even spacing h (any ``linspace``), j is the truncated index
+    (t - grid[0]) / h, off by at most one, and one fix-up step each way
+    makes it exact (de Boor, *A Practical Guide to Splines*, ch. VII);
+    any other grid takes ``searchsorted``.  The value is summed in
+    scipy's order, c3 + c2*s + c1*s^2 + c0*s^3 with the powers built by
+    repeated products (not Horner's rule), so it equals scipy's bit for
+    bit.  Points must lie in [grid[0], grid[-1]] (``bid_at`` handles the
+    rest); a nan stays nan.
     """
 
     def __init__(self, grid, bids):
-        c = CubicSpline(grid, bids).c
+        c = _numerics.not_a_knot(grid, bids)
         # scipy starts its sum at 0.0, which turns a -0.0 constant term into 0.0
         self.c0, self.c1, self.c2, self.c3 = c[0], c[1], c[2], c[3] + 0.0
         n = len(grid)
@@ -418,7 +419,7 @@ def _start_bid(u, lam0, v0, s0, b0, eps, cap):
     if slope_gap(slope_hi) <= 0.0:
         # hazard too strong for the implicit step: clip to the surplus cap
         return b0 + eps * slope_hi
-    return b0 + eps * brentq(slope_gap, 0.0, slope_hi, maxiter=200)
+    return b0 + eps * _numerics.brentq(slope_gap, 0.0, slope_hi, 200)
 
 
 def _solve_joint(scenario, utilities):

@@ -38,6 +38,7 @@ from .errors import (
     InvariantViolation,
     OutsideOptionNotConstant,
     PreconditionError,
+    _float_array,
     finite_number,
     finite_numbers,
 )
@@ -216,7 +217,7 @@ def belief_inclusion_probe(problem, base_utility, transform, beliefs):
     transformed utility must still weakly prefer a (up to ``PROBE_SLACK``
     of floating-point room).  Returns the first offending belief if any.
     """
-    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    beliefs = np.atleast_2d(_float_array(beliefs, "beliefs"))
     if beliefs.shape[1] != problem.n_states:
         raise ConfigError("belief dimension does not match the state space")
     # written so that a NaN or an inf fails them

@@ -7,7 +7,8 @@ component's marginal.  Conditioning one bidder's value updates the
 component posterior, which is what makes mixture win probabilities
 value-dependent.  The marginals are the package's only continuous laws:
 a continuous win-noise law (``outcomes``) is a marginal plus fixed
-quadrature.
+quadrature.  Only the truncated normal needs scipy (``scipy.special``),
+imported when one is first built, so importing the package loads none.
 
 Every evaluator takes a scalar or an array; a scalar gives a float.
 """
@@ -15,7 +16,6 @@ Every evaluator takes a scalar or an array; a scalar gives a float.
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import (ConfigError, DomainError, SingularHazard, finite_number, integer_count,
                      positive_number)
@@ -125,6 +125,7 @@ class TruncatedNormalDist(MarginalDist):
     """
 
     def __init__(self, mu, sigma, lo, hi):
+        from scipy import special  # on first use: see the module docstring
         super().__init__(lo, hi)
         sigma = positive_number(sigma, "sigma")
         self.mu = finite_number(mu, "mu")
@@ -147,6 +148,7 @@ class TruncatedNormalDist(MarginalDist):
         return (np.clip(t, self.lo, self.hi) - self.mu) / self.sigma
 
     def cdf(self, t):
+        from scipy import special
         lz = special.log_ndtr(self._s * self._z(t))
         m = np.maximum(lz, self._la)
         return np.exp(m - self._lm) * (np.expm1(lz - m) - np.expm1(self._la - m)) / self._den
@@ -156,6 +158,7 @@ class TruncatedNormalDist(MarginalDist):
         return np.exp(-0.5 * z * z - self._log_norm)
 
     def ppf(self, q):
+        from scipy import special
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):  # log(0) = -inf at q = 0 and q = 1
             lz = np.logaddexp(np.log1p(-q) + self._la, np.log(q) + self._lb)

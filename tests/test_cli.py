@@ -594,15 +594,53 @@ def test_console_script(tmp_path):
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats is the heaviest module riskbid could pull in; the
-    # library's laws are written on scipy.special instead, and the
-    # first-price solver integrates with its own DOP853 stepper
+    # importing the package loads no scipy module at all: the first-price
+    # solver integrates, fits its splines and finds its start bid with its
+    # own ports, and the truncated normal imports scipy.special on first use
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     code = ("import sys, riskbid; "
-            "sys.exit(' '.join(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules) or None)")
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+#: runs CLI commands in one fresh process and prints, after each, a line
+#: "@ command exit-code" with the scipy modules loaded so far
+_SCIPY_PROBE = """
+import sys
+from riskbid.cli import main
+cfg, out = sys.argv[1:3]
+for cmd in sys.argv[3:]:
+    code = main([cmd, "--config", cfg, "--out", out] + (["--rounds", "2000"] if cmd == "simulate" else []))
+    print("@", cmd, code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("name, commands", [
+    ("fpa_crra.json", ["solve", "audit", "simulate", "compare"]),
+    ("spa_noisy_cara.json", ["solve", "audit", "simulate", "compare"]),
+    ("uniform_two_units.json", ["solve", "audit", "simulate"]),  # no transform, so no compare
+    ("spa_tnorm_crra.json", ["solve", "audit", "simulate"]),
+])
+def test_commands_load_scipy_only_for_the_truncated_normal(tmp_path, name, commands):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, os.path.join(CONFIG_DIR, name), str(tmp_path), *commands],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("@ ")]
+    assert [line[:2] for line in lines] == [[cmd, "0"] for cmd in commands]
+    for line in lines:
+        loaded = set(line[2:])
+        if name != "spa_tnorm_crra.json":
+            assert not loaded, line
+        else:  # the truncated normal's scipy.special, and no interpolation, root or linear algebra
+            assert "scipy.special" in loaded, line
+            assert not {m for m in loaded
+                        if m.startswith(("scipy.interpolate", "scipy.optimize", "scipy.linalg"))}, line
 
 
 def test_module_entry_point(tmp_path):

@@ -639,6 +639,19 @@ def test_from_grid_rejects_malformed_tables(grid, bids, residuals, match):
         EquilibriumSolution.from_grid(grid, bids, residuals)
 
 
+@pytest.mark.parametrize("columns, match", [
+    ((np.array([False, True]), [True, 0.5]), "column v must hold numbers, got bool entries"),
+    ((["a", "b"], [0.0, 0.5]), "column v must hold numbers, got <U1 entries"),
+    (([0.0, 1.0], ["0", "0.5"]), "column beta must hold numbers, got <U3 entries"),
+    (([0.0, 1.0], [0.0, 0.5], [False, False]), "column residual must hold numbers, got bool"),
+])
+def test_from_grid_refuses_columns_that_are_not_numbers(columns, match):
+    # each column's dtype is checked before it is converted, so a bool is not
+    # read as 0 or 1 and a string is no raw numpy error
+    with pytest.raises(ConfigError, match=f"^solution {match}"):
+        EquilibriumSolution.from_grid(*columns)
+
+
 # ---------------------------------------------------------------------------
 # comparative statics
 # ---------------------------------------------------------------------------

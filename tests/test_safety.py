@@ -149,6 +149,19 @@ def test_probe_validates_beliefs():
         belief_inclusion_probe(p, LinearUtility(), CARAUtility(1.0), [[0.5, 0.5, 0.0]])
 
 
+@pytest.mark.parametrize("beliefs, dtype", [
+    ([["a", "b"]], "<U1"),
+    ([[True, False]], "bool"),
+    (np.array([[0.5, 0.5]], dtype=object), "object"),
+])
+def test_probe_refuses_beliefs_that_are_not_numbers(beliefs, dtype):
+    # the input's dtype is checked once, before conversion: a string is no raw
+    # numpy error, and True is not taken as the belief 1
+    p = FiniteDecisionProblem([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ConfigError, match=f"^beliefs must hold numbers, got {dtype} entries$"):
+        belief_inclusion_probe(p, LinearUtility(), CRRAUtility(0.5, shift=1), beliefs)
+
+
 @pytest.mark.parametrize("belief", [
     [np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf, np.inf],
 ], ids=repr)
