@@ -68,9 +68,13 @@ def finite_pairs(val, where):
 
 
 def _float_array(val, where):
-    """``val`` as a float array, its dtype checked before it is converted;
-    ConfigError naming ``where`` unless it holds integers or floats."""
-    if (arr := np.asarray(val)).dtype.kind not in "iuf":  # no bools, strings or objects
+    """``val`` as a float array, its dtype checked before it is converted; ConfigError
+    naming ``where`` unless it holds integers or floats in rows of equal length."""
+    try:
+        arr = np.asarray(val)
+    except ValueError:  # numpy refuses a ragged nested list
+        raise ConfigError(f"{where} must hold numbers in rows of equal length") from None
+    if arr.dtype.kind not in "iuf":  # no bools, strings or objects
         raise ConfigError(f"{where} must hold numbers, got {arr.dtype} entries")
     return arr.astype(float, copy=False)
 

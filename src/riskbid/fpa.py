@@ -246,7 +246,8 @@ class EquilibriumSolution:
         Raises ``ConfigError``, naming a column that holds bools, strings
         or objects, or else the first offending row (counted from 0), unless
         the columns have equal lengths of at least two rows, every entry is
-        finite and the grid strictly increases.
+        finite and the grid strictly increases by steps whose cubes are
+        finite.
         ``derivative_check`` is the unscaled maximum |residual| over all
         points, not the solver's scaled maximum over interior points.
         """
@@ -281,18 +282,34 @@ def _check_table(grid, bids, residuals):
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
             raise ConfigError(f"solution row {bad[0]}: {name} = {col[bad[0]]} is not finite")
-    bad = np.flatnonzero(np.diff(grid) <= 0)
+    with np.errstate(over="ignore"):  # the spline's cubic term cubes each step
+        steps = np.diff(grid)
+        bad = np.flatnonzero(~((steps > 0) & np.isfinite(steps ** 3)))
     if bad.size:
         i = bad[0] + 1
-        raise ConfigError(
-            f"solution row {i}: v = {float(grid[i])!r} does not exceed "
-            f"v = {float(grid[i - 1])!r} of row {i - 1}; the grid must strictly increase"
-        )
+        why = (f"does not exceed v = {float(grid[i - 1])!r} of row {i - 1}; the grid must "
+               "strictly increase" if steps[i - 1] <= 0 else f"lies {steps[i - 1]:g} above "
+               f"row {i - 1}; the spline cubes that spacing, so rows must lie under 5.6e+102 apart")
+        raise ConfigError(f"solution row {i}: v = {float(grid[i])!r} {why}")
 
 
 #: points per evaluation block of ``_IndexedCubic``; a block's temporaries
 #: stay in cache
 _BLOCK = 1 << 15
+
+
+def _in_slabs(f, x, step):
+    """f(x) for an f that maps each row of x's leading axis to one row, in slabs
+    of ``step`` rows, the last taking the rest; x under two slabs, or 0-d, goes
+    to f whole."""
+    k = len(x) // step if x.ndim else 0
+    if k < 2:
+        return f(x)
+    out = np.empty_like(x)
+    for i in range(k):
+        s = slice(i * step, None if i == k - 1 else (i + 1) * step)
+        out[s] = f(x[s])
+    return out
 
 
 class _IndexedCubic:
@@ -341,12 +358,7 @@ class _IndexedCubic:
         return self.c3[j] + self.c2[j] * s + self.c1[j] * z + self.c0[j] * (z * s)
 
     def __call__(self, t):
-        if t.size <= _BLOCK:
-            return self._block(t)
-        out = np.empty_like(t)
-        for a in range(0, t.size, _BLOCK):
-            out[a:a + _BLOCK] = self._block(t[a:a + _BLOCK])
-        return out
+        return _in_slabs(self._block, t, _BLOCK)
 
 
 def _interpolant_slope(dense, t, span):

@@ -14,10 +14,11 @@ condition is one scalar equation per outside-option level s,
 
     M(x) = sum_k w_k u(x + o_k) = u(s),
 
-and b(v) = v - x(s(v)).  M is increasing, and u(x + min o) <= M(x) <=
-u(x + max o), so the root lies in [s - max o, s - min o]; one array
-bisection over the distinct levels solves them all.  Under CARA, x is s
-less the noise's certainty equivalent (Pratt).
+with M the derived utility of winning at surplus x (Kihlstrom, Romer and
+Williams, 1981), evaluated by ``_noise_mean``, and b(v) = v - x(s(v)).  M is
+increasing, and u(x + min o) <= M(x) <= u(x + max o), so the root lies in
+[s - max o, s - min o]; one array bisection over the distinct levels solves
+them all.  Under CARA, x is s less the noise's certainty equivalent (Pratt).
 The same logic covers the uniform-price auction selling several
 identical units at the highest losing bid: the pivotal event is again a
 tie at the bidder's own bid, so the bid function coincides with the
@@ -32,15 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OrderingViolation, SolverWarning, integer_count, positive_number
-from .fpa import ComparisonReport, EquilibriumSolution, _Scenario, _check_outside, check_monotone
+from .fpa import (ComparisonReport, EquilibriumSolution, _check_outside, _in_slabs, _Scenario,
+                  check_monotone)
 from .outcomes import DeterministicWin, WinPayoff
 
 _MAX_BISECT = 200
-#: float64 elements per slab of a noise expectation's utility tensor.  A
-#: slab holds whole rows of the leading axis (the last one takes the rest,
-#: so it stays under twice this), which keeps every temporary below
-#: glibc's 128 KiB mmap threshold and inside L2: freed slabs are reused
-#: from the heap instead of being mapped and page-faulted afresh.
+#: float64 elements per slab of ``_noise_mean``'s utility tensor: every temporary
+#: stays below glibc's 128 KiB mmap threshold and inside L2, so freed slabs are
+#: reused from the heap instead of being mapped and page-faulted afresh
 _SLAB = 1 << 13
 #: a rule with fewer nodes stays within this many eps * max(1, |M|) of the default mean M;
 #: _PROBES surpluses check it at half that, leaving room for rounding between them
@@ -79,44 +79,27 @@ class SPAScenario(_Scenario):
         return _choose_rule(self)  # (offsets, weights) of every noise mean, chosen on first use
 
 
-def _noise_mean(u, v, b, offsets, weights):
-    """sum_k w_k u(v + o_k - b) for each entry of v and b broadcast together.
+def _noise_mean(u, x, rule):
+    """M(x) = sum_k w_k u(x + o_k) over the rule's (offsets, weights), for each
+    entry of the float surplus array x; -inf where any atom leaves u's domain,
+    even at weight 0.  A type v bidding b has x = v - b, rounded before each
+    offset is added.  The (..., atoms) utilities are built in slabs of about
+    ``_SLAB`` elements along x's leading axis; all but the last, which takes the
+    rest, hold a multiple of 8 rows, as a matrix-vector kernel blocks its rows,
+    so slabs change no bits unless some rows left the domain."""
+    offsets, weights = rule
 
-    ``-inf`` where any noise atom leaves the domain, even at weight 0.  The
-    (..., atoms) tensor of utilities is built one slab of about ``_SLAB``
-    elements at a time along the leading axis; a tensor under two slabs
-    is evaluated whole.  Each slab but the last holds the same multiple
-    of 8 rows, and the last takes the rest, so the matrix-vector products
-    group the rows as the whole tensor would: slabs change no bits unless
-    some rows left the domain.
-    """
-    shape = np.broadcast_shapes(np.shape(v), np.shape(b))
-    n = shape[0] if shape else 1
-    # whole blocks of 8 rows, as a matrix-vector kernel blocks its rows
-    step = max(1, _SLAB // max(1, math.prod(shape[1:]) * offsets.size) // 8 * 8)
-    if n < 2 * step:
-        return _noise_mean_slab(u, v, b, offsets, weights)
+    def mean(x):
+        vals = u.masked_value(x[..., None] + offsets)
+        # stacked rows take one matrix-vector product, a single row a dot product
+        flat = vals.reshape(-1, offsets.size) if vals.ndim > 2 else vals
+        with np.errstate(invalid="ignore"):  # -inf times a zero weight is nan
+            out = np.asarray(flat @ weights).reshape(vals.shape[:-1])
+        out[np.isnan(out)] = -np.inf
+        return out
 
-    # an operand that broadcasts along the leading axis is passed whole
-    cut_v, cut_b = (np.ndim(a) == len(shape) and np.shape(a)[0] == n for a in (v, b))
-    out = np.empty(shape)
-    k = n // step
-    for i in range(k):
-        s = slice(i * step, n if i == k - 1 else (i + 1) * step)
-        out[s] = _noise_mean_slab(u, v[s] if cut_v else v, b[s] if cut_b else b, offsets, weights)
-    return out
-
-
-def _noise_mean_slab(u, v, b, offsets, weights):
-    vals = u.masked_value(np.asarray(v)[..., None] + offsets - np.asarray(b)[..., None])
-    # stacked rows go through one matrix-vector product, with the bits of
-    # the stacked product's one BLAS call per (8 x atoms) block; a single
-    # row stays a dot product
-    flat = vals.reshape(-1, offsets.size) if vals.ndim > 2 else vals
-    with np.errstate(invalid="ignore"):  # -inf times a zero weight is nan
-        out = np.asarray(flat @ weights).reshape(vals.shape[:-1])
-    out[np.isnan(out)] = -np.inf
-    return out
+    rows = _SLAB // max(1, math.prod(x.shape[1:]) * offsets.size) // 8 * 8
+    return _in_slabs(mean, x, max(1, rows))
 
 
 def _choose_rule(scenario):
@@ -132,31 +115,27 @@ def _choose_rule(scenario):
     x = np.linspace(np.min(s) - np.max(full[0]) - span, np.max(s) - np.min(full[0]) + span,
                     _PROBES)
     us = {scenario.utility, scenario.effective_utility()}  # one without a transform
-    ref = [_noise_mean(u, x, 0.0, *full) for u in us]
+    ref = [_noise_mean(u, x, full) for u in us]
     if not all(np.all(np.isfinite(m)) for m in ref):
         return full
     tol = [0.5 * _RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(m)) for m in ref]
     for rule in low:
-        if all(np.all(np.abs(_noise_mean(u, x, 0.0, *rule) - m) <= t)
+        if all(np.all(np.abs(_noise_mean(u, x, rule) - m) <= t)
                for u, m, t in zip(us, ref, tol)):
             return rule
     return full
 
 
 def pivotal_expectation(scenario, v, b, utility=None):
-    """Expected utility of winning at price b, conditional on being pivotal.
+    """Expected utility of winning at price b, conditional on being pivotal:
+    M(v - b) over the scenario's noise rule (see ``_noise_mean``).
 
-    Averages u(W - b) over the scenario's noise rule at type v, one value
-    per entry of v and b broadcast together (a float when both are
-    scalars), from ``masked_value`` passes over the (types x atoms)
-    surplus: ``-inf`` for a type with any atom outside the domain (even
-    at weight 0), as that bid is certainly too high.  The surplus is
-    evaluated in fixed slabs of types, so a call on a fine grid with many
-    atoms reuses a few cache-sized buffers instead of mapping (and
-    page-faulting) a fresh multi-megabyte tensor per temporary.
+    One value per entry of v and b broadcast together (a float when both
+    are scalars); ``-inf`` where any atom leaves the domain (even at
+    weight 0), as that bid is certainly too high.
     """
     u = scenario.effective_utility() if utility is None else utility
-    out = _noise_mean(u, v, b, *scenario._noise_rule)
+    out = _noise_mean(u, np.subtract(v, b, dtype=float), scenario._noise_rule)
     return out if out.ndim else float(out)
 
 
@@ -169,9 +148,9 @@ def solve_spa(scenario):
     bids v - x(s(v)).  A level whose root lies past the utility's domain
     edge is pinned at the smallest finite x.  Returns an
     :class:`EquilibriumSolution` whose ``residuals`` column holds the
-    absolute indifference gap at each solved bid, from one
-    ``pivotal_expectation`` pass over the grid; a type whose bid leaves
-    the domain by a rounding reports the gap at its level's x instead.
+    absolute indifference gap at each solved bid, from one pass of M(v - b)
+    over the grid; a type whose bid leaves the domain by a rounding reports
+    the gap at its level's x instead.
     Raises ``DomainError`` where u is not finite at an outside level.
     """
     return _solve(scenario, scenario.effective_utility())
@@ -182,12 +161,13 @@ def _solve(scenario, u):  # its warnings name the caller of solve_spa or compare
     levels, inverse = np.unique(scenario.outside.value(grid), return_inverse=True)
     _check_outside(u, levels)
     target = u.value(levels)
-    offsets, weights = scenario._noise_rule
+    rule = scenario._noise_rule
+    offsets = rule[0]
     tol = scenario.root_tol
     resid_tol = tol * (1.0 + np.abs(target))
 
     def gap(rows, x):
-        return _noise_mean(u, x, 0.0, offsets, weights) - target[rows]
+        return _noise_mean(u, x, rule) - target[rows]
 
     x, x_gap = np.empty_like(levels), np.empty_like(levels)
     rows = np.arange(levels.size)
@@ -213,7 +193,7 @@ def _solve(scenario, u):  # its warnings name the caller of solve_spa or compare
         x[rows], x_gap[rows] = np.where(finite, mid, hi), np.where(finite, f_mid, f_hi)
 
     bids = grid - x[inverse]
-    gaps = pivotal_expectation(scenario, grid, bids, utility=u) - target[inverse]
+    gaps = _noise_mean(u, grid - bids, rule) - target[inverse]
     residuals = np.abs(np.where(np.isfinite(gaps), gaps, x_gap[inverse]))
     if rows.size:
         types = np.flatnonzero(np.isin(inverse, rows))

@@ -98,11 +98,9 @@ def spa_report_utility(scenario, solution, v, t):
     ``units``.  ``t`` may be a scalar (returns a float) or an array, and
     is clamped to the support.  The reports, plus the bottom of the
     support, split the integral into fixed Gauss-Legendre panels summed
-    cumulatively, so a whole deviation sweep costs one pass.  The noise
-    expectation at the panel nodes is evaluated in fixed slabs of panels,
-    so no temporary holds the whole (panels x 8 x atoms) tensor.  A
-    domain breach anywhere in a report's win branch makes that report
-    and all larger ones -inf.
+    cumulatively, so a whole deviation sweep costs one pass.  A domain
+    breach anywhere in a report's win branch makes that report and all
+    larger ones -inf.
     """
     u = scenario.effective_utility()
     vm = scenario.values

@@ -43,6 +43,8 @@ from riskbid import (
 )
 from riskbid import _dop853
 from riskbid.fpa import (
+    _BLOCK,
+    _in_slabs,
     _interpolant_slope,
     _solve_joint,
     _start_bid,
@@ -571,6 +573,25 @@ def test_spline_schedule_equals_scipy_bit_for_bit(grid):
         assert np.isnan(sol.bid_at(np.nan))
 
 
+@pytest.mark.parametrize("extra", [(2, 3), (3, 5)])
+def test_spline_blocks_change_no_bits(extra):
+    blocks, rest = extra
+    sol = _spline_schedules(257)[1]
+    spline = sol._spline
+    t = np.random.default_rng(blocks).uniform(sol.grid[0], sol.grid[-1], blocks * _BLOCK + rest)
+    block, sizes = spline._block, []
+    whole = block(t)
+    spline._block = lambda part: sizes.append(part.size) or block(part)
+    assert sol.bid_at(t).tobytes() == whole.tobytes()
+    assert sizes == [_BLOCK] * (blocks - 1) + [_BLOCK + rest]  # the last block takes the rest
+
+
+def test_in_slabs_takes_a_0d_input_whole():
+    calls = []
+    out = _in_slabs(lambda x: calls.append(x.shape) or 2.0 * x, np.array(1.5), 1)
+    assert calls == [()] and out.shape == () and out == 3.0
+
+
 @pytest.mark.parametrize("uneven", ["jittered", "thinned"])
 def test_spline_schedule_on_uneven_grid(uneven):
     sol = _spline_schedules(257)[2]
@@ -633,6 +654,14 @@ def test_three_row_table_is_scipys_parabola():
     ([0.0, 0.6, 0.5, 1.0], [0.0, 0.2, 0.3, 0.4], None, "row 2: v = 0.5 does not exceed"),
     ([0.5], [0.2], None, "at least 2 rows, got 1"),
     ([], [], None, "at least 2 rows, got 0"),
+    # the spline cubes the spacing, so a wider one would give nan bids on the
+    # line, scipy's parabola and the not-a-knot fit alike
+    ([0.0, 1e120], [0.0, 0.2], None, "row 1: v = 1e[+]120 lies 1e[+]120 above row 0; the spline"),
+    ([-1e120, 0.0, 1e120], [0.0, 0.2, 0.4], None, "row 1: v = 0.0 lies 1e[+]120 above"),
+    ([-2e120, -1e120, 0.0, 1e120, 2e120], [0.0, 0.1, 0.2, 0.3, 0.4], None,
+     "row 1: v = -1e[+]120 lies 1e[+]120 above row 0; the spline cubes that spacing"),
+    ([-2e307, 0.0, 2e307], [0.0, 0.2, 0.4], None, "row 1: v = 0.0 lies 2e[+]307 above"),
+    ([-1e308, 0.0, 1e308], [0.0, 0.2, 0.4], None, "row 1: v = 0.0 lies 1e[+]308 above"),
 ])
 def test_from_grid_rejects_malformed_tables(grid, bids, residuals, match):
     with pytest.raises(ConfigError, match=match):
@@ -644,12 +673,24 @@ def test_from_grid_rejects_malformed_tables(grid, bids, residuals, match):
     ((["a", "b"], [0.0, 0.5]), "column v must hold numbers, got <U1 entries"),
     (([0.0, 1.0], ["0", "0.5"]), "column beta must hold numbers, got <U3 entries"),
     (([0.0, 1.0], [0.0, 0.5], [False, False]), "column residual must hold numbers, got bool"),
+    (([[0.0, 1.0], [2.0]], [0.0, 0.5]), "column v must hold numbers in rows of equal length$"),
 ])
 def test_from_grid_refuses_columns_that_are_not_numbers(columns, match):
     # each column's dtype is checked before it is converted, so a bool is not
     # read as 0 or 1 and a string is no raw numpy error
     with pytest.raises(ConfigError, match=f"^solution {match}"):
         EquilibriumSolution.from_grid(*columns)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_spacings_near_the_overflow_still_fit():
+    wide = EquilibriumSolution.from_grid([0.0, 5e102], [0.0, 0.5])
+    assert wide.bid_at(2.5e102) == pytest.approx(0.25, rel=1e-14)
+    # bids near the float range still reach the fit's own overflow check
+    tall = EquilibriumSolution.from_grid([0.0, 1.0, 2.0, 3.0], [0.0, 1e308, -1e308, 0.0])
+    with pytest.raises(ConfigError, match="spline slopes overflow"):
+        tall.bid_at(0.5)
 
 
 # ---------------------------------------------------------------------------

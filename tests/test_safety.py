@@ -162,6 +162,13 @@ def test_probe_refuses_beliefs_that_are_not_numbers(beliefs, dtype):
         belief_inclusion_probe(p, LinearUtility(), CRRAUtility(0.5, shift=1), beliefs)
 
 
+def test_probe_refuses_ragged_beliefs():
+    p = FiniteDecisionProblem([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ConfigError, match="^beliefs must hold numbers in rows of equal length$"):
+        belief_inclusion_probe(p, LinearUtility(), CRRAUtility(0.5, shift=1),
+                               [[0.5, 0.5], [1.0]])
+
+
 @pytest.mark.parametrize("belief", [
     [np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf, np.inf],
 ], ids=repr)

@@ -116,10 +116,11 @@ def reference_solve_spa(scenario):
     return bids, residuals, targets
 
 
-def reference_noise_mean(u, v, b, offsets, weights):
-    """The array branch of ``pivotal_expectation`` over the whole (types x
-    atoms) tensor in one pass, as before it was evaluated in slabs."""
-    vals = u.masked_value(v[..., None] + offsets - np.asarray(b)[..., None])
+def reference_noise_mean(u, x, rule):
+    """M(x) over the whole (types x atoms) tensor in one pass, as before it
+    was evaluated in slabs."""
+    offsets, weights = rule
+    vals = u.masked_value(np.asarray(x)[..., None] + offsets)
     inside = np.all(vals > -np.inf, axis=-1)
     out = np.full(inside.shape, -np.inf)
     out[inside] = vals[inside] @ weights
@@ -361,14 +362,31 @@ def test_domain_edge_pins_bid():
     assert sol.monotone
 
     # an outside level on the domain edge pins x at exactly s - min o = 0;
-    # for some types v + o - b then rounds below the edge in the residual
-    # pass, and those report the gap at the pin, sqrt(0.6), instead of inf
+    # the residual pass sees that surplus exactly, so every type's M is
+    # finite and the gap is M(0) - u(s) = sqrt(0.6)
     scn = SPAScenario(values=UNIT3, utility=CRRAUtility(0.5, shift=0.3),
                       outside=ConstantOutside(-0.3), win_payoff=NoisyWin(TWO_POINT, scale=0.3))
     sol = solve_spa(scn)
-    assert np.any(np.isneginf(pivotal_expectation(scn, sol.grid, sol.bids)))
-    np.testing.assert_array_equal(sol.bids, sol.grid)
+    np.testing.assert_array_equal(sol.grid - sol.bids, 0.0)
+    assert np.all(np.isfinite(pivotal_expectation(scn, sol.grid, sol.bids)))
     np.testing.assert_allclose(sol.residuals, math.sqrt(0.6), rtol=0.0, atol=1e-7)
+
+
+def test_residual_pass_falls_back_to_the_pinned_gap():
+    # on a grid of non-dyadic types the surplus v - b of a type whose level
+    # is pinned at the domain edge can round below the pin; such a type
+    # reports the gap at its level's pin instead of inf
+    s = -0.811
+    scn = SPAScenario(values=ValueModel.iid(UniformDist(0.171, 1.111), 3),
+                      utility=CRRAUtility(0.5, shift=-s), outside=ConstantOutside(s),
+                      win_payoff=NoisyWin(TWO_POINT, scale=0.312))
+    sol = solve_spa(scn)
+    fallback = np.isneginf(pivotal_expectation(scn, sol.grid, sol.bids))
+    assert 0 < fallback.sum() < fallback.size
+    pin = np.array([s - np.min(scn._noise_rule[0])])
+    gap = pivotal_expectation(scn, pin, 0.0)[0] - scn.utility.value(s)
+    assert np.all(sol.residuals[fallback] == abs(gap))
+    assert np.all(np.isfinite(sol.residuals))
 
 
 def test_residuals_small_on_regular_problems():
@@ -574,11 +592,10 @@ def test_slabbed_pivotal_expectation_within_4_ulp():
     scn = SPAScenario(values=UNIT3, utility=CRRAUtility(0.5, shift=0.3), win_payoff=TNORM64,
                       grid=1025)
     u = scn.effective_utility()
-    offsets, weights = scn.win_payoff.rules[-1]
     v = scn.report_grid()
     b = 0.5 * v + 0.2 * np.sin(40.0 * v)  # scattered rows leave the domain
     got = pivotal_expectation(scn, v, b)
-    ref = reference_noise_mean(u, v, b, offsets, weights)
+    ref = reference_noise_mean(u, v - b, scn.win_payoff.rules[-1])
     out = np.isneginf(ref)
     assert 0 < out.sum() < out.size
     np.testing.assert_array_equal(np.isneginf(got), out)
@@ -674,8 +691,8 @@ def test_noise_rule_reproduces_the_64_node_mean(law, scale, utility, transform, 
     x = np.random.default_rng(seed).uniform(lo, hi, 200)
     x = np.append(x[~np.isin(x, np.linspace(lo, hi, spa._PROBES))], lo)  # off the probes
     for u in (scn.utility, scn.effective_utility()):
-        full = spa._noise_mean(u, x, 0.0, offsets, weights)
-        got = spa._noise_mean(u, x, 0.0, *rule)
+        full = spa._noise_mean(u, x, (offsets, weights))
+        got = spa._noise_mean(u, x, rule)
         if not np.all(np.isfinite(full)):
             assert rule[0].size == 64
         bound = spa._RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(full))

@@ -96,8 +96,7 @@ def reference_spa_report_utility(scenario, solution, v, t):
     node_w = half[:, None] * _GL8_WEIGHTS[None, :]
 
     bids = np.asarray(solution.bid_at(nodes), dtype=float)
-    surplus = v + offsets[None, None, :] - bids[:, :, None]
-    vals = u.masked_value(surplus)
+    vals = u.masked_value((v - bids)[:, :, None] + offsets)  # the surplus v - b, then each offset
     m = vals @ wts
     dens = np.asarray(vm.kth_rival_density(units, v, nodes), dtype=float)
     with np.errstate(invalid="ignore"):
