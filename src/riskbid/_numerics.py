@@ -44,21 +44,22 @@ def not_a_knot(x, y):
         from scipy.interpolate import CubicSpline
         return CubicSpline(x, y).c
     dx = np.diff(x)
-    slope = np.diff(y) / dx
-    if n == 2:  # both ends take the chord's slope
-        dl, d, du, b = [0.0], [1.0, 1.0], [0.0], [float(slope[0])] * 2
-    else:  # scipy's banded system and right-hand side, term for term
-        d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
-        du = np.concatenate(([x[2] - x[0]], dx[:-1])).tolist()
-        dl = np.concatenate((dx[1:], [x[-1] - x[-3]])).tolist()
-        b = np.empty(n)
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        w0, w1 = x[2] - x[0], x[-1] - x[-3]
-        b[0] = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w0
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
-        b = b.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the check below
+        slope = np.diff(y) / dx
+        if n == 2:  # both ends take the chord's slope
+            dl, d, du, b = [0.0], [1.0, 1.0], [0.0], [float(slope[0])] * 2
+        else:  # scipy's banded system and right-hand side, term for term
+            d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+            du = np.concatenate(([x[2] - x[0]], dx[:-1])).tolist()
+            dl = np.concatenate((dx[1:], [x[-1] - x[-3]])).tolist()
+            b = np.empty(n)
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            w0, w1 = x[2] - x[0], x[-1] - x[-3]
+            b[0] = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w0
+            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
+            b = b.tolist()
     s = np.fromiter(_gtsv(dl, d, du, b), float, n)
-    if not np.isfinite(s).all():  # scipy refuses these slopes too
+    if not (np.isfinite(s).all() and np.isfinite(slope).all()):  # scipy refuses these slopes too
         raise ConfigError("the solution table spans too wide a range: its spline slopes overflow")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))

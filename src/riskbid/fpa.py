@@ -256,13 +256,12 @@ class EquilibriumSolution:
         residuals = (np.zeros_like(grid) if residuals is None
                      else _float_array(residuals, "solution column residual"))
         _check_table(grid, bids, residuals)
-        diffs = np.diff(bids)
         return cls(
             grid=grid,
             bids=bids,
             residuals=residuals,
             derivative_check=float(np.max(np.abs(residuals))),
-            monotone=bool(np.all(diffs > 0)),
+            monotone=bool(np.all(bids[1:] > bids[:-1])),  # no difference to overflow
             v_floor=float(grid[0]) if v_floor is None else finite_number(v_floor, "v_floor"),
             boundary_bid=(float(bids[0]) if boundary_bid is None
                           else finite_number(boundary_bid, "boundary_bid")),

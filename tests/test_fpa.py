@@ -682,8 +682,6 @@ def test_from_grid_refuses_columns_that_are_not_numbers(columns, match):
         EquilibriumSolution.from_grid(*columns)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_spacings_near_the_overflow_still_fit():
     wide = EquilibriumSolution.from_grid([0.0, 5e102], [0.0, 0.5])
     assert wide.bid_at(2.5e102) == pytest.approx(0.25, rel=1e-14)

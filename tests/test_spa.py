@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from riskbid import (
     AffineOutside,
     CARAUtility,
+    ComposedUtility,
     ConfigError,
     ConstantOutside,
     CRRAUtility,
@@ -697,6 +698,47 @@ def test_noise_rule_reproduces_the_64_node_mean(law, scale, utility, transform, 
             assert rule[0].size == 64
         bound = spa._RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(full))
         assert got.tobytes() == full.tobytes() or np.all(np.abs(got - full) <= bound)
+
+
+_SMOOTH = st.one_of(
+    st.builds(CRRAUtility, st.floats(0.0, 3.0).filter(lambda rho: rho != 1.0), _SHIFT),
+    st.builds(CARAUtility, st.floats(0.1, 4.0), _SHIFT),
+    st.builds(LogUtility, _SHIFT),
+)
+_MANY_ATOMS = st.integers(3, 40).flatmap(lambda k: st.builds(
+    DiscreteNoise, st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k, unique=True),
+    st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(transform=_SMOOTH, base=st.none() | _SMOOTH,
+       law=st.one_of(_LAWS.filter(lambda law: isinstance(law, TruncatedNormalNoise)), _MANY_ATOMS),
+       scale=st.floats(0.02, 0.5), lo=st.floats(-1.0, 0.5), width=st.floats(0.2, 3.0),
+       order=st.sampled_from([0, -1]), seed=st.integers(0, 2**32 - 1))
+def test_noise_table_matches_the_noise_mean(transform, base, law, scale, lo, width, order, seed):
+    # wherever the table is accepted, it reproduces M within the rule bound
+    # between its check points as well
+    u = transform if base is None else ComposedUtility(transform, base)
+    rule = NoisyWin(law, scale).rules[order]
+    hi = lo + width
+    table = spa._noise_table(u, lo, hi, rule)
+    if table is None:
+        return
+    x = np.append(np.random.default_rng(seed).uniform(lo, hi, 500), [lo, hi])
+    m = spa._noise_mean(u, x, rule)
+    bound = spa._RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(m))
+    assert np.all(np.abs(table(x) - m) <= bound)
+
+
+def test_noise_table_refuses_a_domain_edge_and_a_steep_cara():
+    rule = TNORM64.rules[-1]
+    edge = -0.3 - np.min(rule[0])  # the lowest atom leaves CRRA's domain below it
+    assert spa._noise_table(CRRAUtility(0.5, shift=0.3), edge - 0.5, edge + 1.0, rule) is None
+    assert spa._noise_table(CRRAUtility(0.5, shift=0.3), edge + 0.5, edge + 2.0, rule)
+    # at 2^13 cells the Hermite error of exp(-8 x) on [-1, 1] is about 1e-13 relative
+    assert spa._noise_table(CARAUtility(8.0), -1.0, 1.0, rule) is None
+    assert spa._noise_table(CARAUtility(2.0), -1.0, 1.0, rule)
+    assert spa._noise_table(CARAUtility(2.0), 0.5, 0.5, rule) is None  # no interval
 
 
 def test_noise_rule_is_chosen_once_per_scenario(monkeypatch):

@@ -42,7 +42,8 @@ from riskbid import (
     solve_uniform_price,
     spa_report_utility,
 )
-from riskbid.spa import _SLAB
+from riskbid import spa, verification
+from riskbid.spa import _RULE_ULPS, _SLAB
 from riskbid.verification import _GL8_NODES, _GL8_WEIGHTS, _ROUNDING_GAIN
 
 U2 = ValueModel.iid(UniformDist(0.0, 1.0), 2)
@@ -483,7 +484,9 @@ def _audit_case(name):
 
 
 @pytest.mark.parametrize("name", sorted(_AUDIT_CASES))
-def test_audit_matches_per_type_loop(name):
+def test_audit_matches_per_type_loop(monkeypatch, name):
+    # on the direct path: no sweep reads M from a table
+    monkeypatch.setattr(verification, "_TABLE_COST", np.inf)
     fmt, scn, sol = _audit_case(name)
     # in the last two sizes every type is a report point, so no panel splits
     for sizes in ((33, 512), (17, 128), (33, 33), (2, 2)):
@@ -492,6 +495,43 @@ def test_audit_matches_per_type_loop(name):
         want = reference_best_response_audit(fmt, scn, sol, *sizes)
         for field, a, b in zip(("types", "best_reports", "gains", "max_gain", "passed"), got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (sizes, field)
+
+
+def _spy_tables(monkeypatch):
+    """The list each ``_noise_table`` result of the audits that follow goes to."""
+    built = []
+    monkeypatch.setattr(verification, "_noise_table",
+                        lambda *args: built.append(spa._noise_table(*args)) or built[-1])
+    return built
+
+
+@pytest.mark.parametrize("name", ["spa_mix_tnorm64_crra", "spa_u3_tnorm64_outside_deflated"])
+def test_tabled_audit_matches_per_type_loop(monkeypatch, name):
+    fmt, scn, sol = _audit_case(name)
+    built = _spy_tables(monkeypatch)
+    rep = best_response_audit(fmt, scn, sol)
+    assert len(built) == 1 and built[0] is not None  # the table served
+    types, best_reports, gains, _, passed = reference_best_response_audit(fmt, scn, sol, 33, 512)
+    assert rep.types.tobytes() == types.tobytes()
+    assert rep.best_reports.tobytes() == best_reports.tobytes()
+    assert rep.passed == passed
+    psi_self = np.array([spa_report_utility(scn, sol, v, v) for v in types])
+    bound = _RULE_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(psi_self))
+    assert np.all(np.abs(rep.gains - gains) <= bound)
+
+
+@pytest.mark.parametrize("transform", [_EDGE64, CARAUtility(8.0)], ids=["domain_edge", "steep_cara"])
+def test_refused_table_audit_matches_per_type_loop(monkeypatch, transform):
+    # the interval crosses the domain edge, or 2^13 cells miss exp(-8 x) at a midpoint
+    scn = SPAScenario(values=U3, transform=transform, win_payoff=_TNORM64, grid=129)
+    sol = solve_spa(scn)
+    built = _spy_tables(monkeypatch)
+    rep = best_response_audit("spa", scn, sol)
+    assert built == [None]
+    want = reference_best_response_audit("spa", scn, sol, 33, 512)
+    got = (rep.types, rep.best_reports, rep.gains, rep.max_gain, rep.passed)
+    for field, a, b in zip(("types", "best_reports", "gains", "max_gain", "passed"), got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
 
 
 def test_audit_cases_cover_passes_and_failures():
@@ -537,10 +577,10 @@ def test_audit_accepts_smallest_and_numpy_grid_sizes(fmt, fpa_pair, spa_pair):
     assert rep.to_json() == best_response_audit(fmt, scn, sol, 5, 64).to_json()
 
 
-def _spa_audit_peak(types):
+def _spa_audit_peak(types, scn=SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64,
+                                            grid=1025)):
     """(traced peak bytes of a 64-atom audit at grid 1025, bytes of one
     (panels x 8 x atoms) float64 tensor)."""
-    scn = SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64, grid=1025)
     atoms = scn._noise_rule[0].size
     assert atoms == 64
     sol = solve_spa(scn)
@@ -556,6 +596,18 @@ def _spa_audit_peak(types):
 
 def test_spa_audit_never_holds_the_whole_tensor():
     peak, whole = _spa_audit_peak(33)
+    assert peak < whole, (peak, whole)
+
+
+def test_tabled_spa_audit_never_holds_the_whole_tensor(monkeypatch):
+    # the lowest atom stays 0.5 inside the domain over the audit, not over
+    # the solver's probe span, so 64 atoms and a table
+    scn = SPAScenario(values=U3, transform=CRRAUtility(0.75, shift=2.0),
+                      win_payoff=NoisyWin(TruncatedNormalNoise(0.0, 1.0, -3.0, 3.0), scale=0.25),
+                      grid=1025)
+    built = _spy_tables(monkeypatch)
+    peak, whole = _spa_audit_peak(33, scn)
+    assert built and all(table is not None for table in built)
     assert peak < whole, (peak, whole)
 
 
