@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -88,7 +89,9 @@ def read_solution_csv(path):
                 raise ConfigError(
                     f"{path}: expected header {SOLUTION_HEADER!r}, got {header!r}"
                 )
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a table with no rows is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read solution {path}: {exc}") from exc
     except ValueError as exc:

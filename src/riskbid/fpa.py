@@ -59,7 +59,7 @@ from .outcomes import ConstantOutside, OutsideOption
 from .utility import LinearUtility, Utility, effective_utility
 from .values import ValueModel
 
-#: default relative start offset above the bottom type
+#: the start offset above the bottom type, as a share of the value span
 START_OFFSET_FACTOR = 1e-6
 #: boundary-bid tolerance when validating configurations
 _BOUNDARY_TOL = 1e-9
@@ -135,25 +135,20 @@ class _Scenario:
 class FPAScenario(_Scenario):
     """A first-price environment plus solver knobs.
 
-    ``boundary_bid`` defaults to zero surplus at the bottom type.
+    ``boundary_bid`` defaults to zero surplus at the bottom type.  The default
+    is stored at construction, so a copy made with ``dataclasses.replace``
+    keeps it: a copy with other ``values`` or ``outside`` passes
+    ``boundary_bid=None`` to take its own.
     """
 
     boundary_bid: Optional[float] = None
     grid: int = 257
     ode_tol: float = 1e-8
-    start_offset: Optional[float] = None
 
     def __post_init__(self):
         super().__post_init__()
         positive_number(self.ode_tol, "ode_tol")
-        lo, hi = self.values.support
-        span = hi - lo
-        if self.start_offset is None:
-            object.__setattr__(self, "start_offset", START_OFFSET_FACTOR * span)
-        if not 0 < self.start_offset < span / 2:
-            raise ConfigError(
-                f"start offset must be in (0, {span / 2:g}), got {self.start_offset}"
-            )
+        lo = self.values.lo
         zero_surplus = lo - float(self.outside.value(lo))
         if self.boundary_bid is None:
             object.__setattr__(self, "boundary_bid", zero_surplus)
@@ -172,8 +167,9 @@ class FPAScenario(_Scenario):
             )
 
     @property
-    def span(self):
-        return self.values.span
+    def start_offset(self):
+        """How far above the bottom type integration starts."""
+        return START_OFFSET_FACTOR * self.values.span
 
     @property
     def start(self):
@@ -292,9 +288,10 @@ def _check_table(grid, bids, residuals):
         raise ConfigError(f"solution row {i}: v = {float(grid[i])!r} {why}")
 
 
-#: points per evaluation block of ``_IndexedCubic``; a block's temporaries
-#: stay in cache
-_BLOCK = 1 << 15
+#: float64 elements per slab of a slabbed evaluation: every temporary stays below
+#: glibc's 128 KiB mmap threshold and inside L2, so freed slabs are reused from the
+#: heap instead of being mapped and page-faulted afresh
+_SLAB = 1 << 13
 
 
 def _in_slabs(f, x, step):
@@ -357,7 +354,7 @@ class _IndexedCubic:
         return self.c3[j] + self.c2[j] * s + self.c1[j] * z + self.c0[j] * (z * s)
 
     def __call__(self, t):
-        return _in_slabs(self._block, t, _BLOCK)
+        return _in_slabs(self._block, t, _SLAB)
 
 
 def _interpolant_slope(dense, t, span):
@@ -547,9 +544,9 @@ class ComparisonReport:
     grid: np.ndarray
     beta: np.ndarray
     beta_hat: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-    extremum: Optional[str] = None
-    tolerance: Optional[float] = None
+    diagnostics: dict
+    extremum: str
+    tolerance: float
 
     @property
     def d(self):

@@ -33,15 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OrderingViolation, SolverWarning, integer_count, positive_number
-from .fpa import (ComparisonReport, EquilibriumSolution, _check_outside, _in_slabs, _Scenario,
-                  check_monotone)
+from .fpa import (_SLAB, ComparisonReport, EquilibriumSolution, _check_outside, _in_slabs,
+                  _Scenario, check_monotone)
 from .outcomes import DeterministicWin, WinPayoff
 
 _MAX_BISECT = 200
-#: float64 elements per slab of ``_noise_mean``'s utility tensor: every temporary
-#: stays below glibc's 128 KiB mmap threshold and inside L2, so freed slabs are
-#: reused from the heap instead of being mapped and page-faulted afresh
-_SLAB = 1 << 13
 #: a rule with fewer nodes stays within this many eps * max(1, |M|) of the default mean M;
 #: _PROBES surpluses check it at half that, leaving room for rounding between them
 _RULE_ULPS, _PROBES = 8.0, 513

@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import FORMATS
 from .errors import ConfigError, finite_number, integer_count
-from .fpa import FPAScenario
-from .spa import _CELLS, _SLAB, SPAScenario, _noise_mean, _noise_table, pivotal_expectation
+from .fpa import _SLAB, FPAScenario
+from .spa import _CELLS, SPAScenario, _noise_mean, _noise_table, pivotal_expectation
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 #: audit gains at most this many relative ulps of the truthful utility
@@ -26,6 +26,10 @@ _ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 #: utility calls a surplus read from the second-price audit's table of M costs, measured:
 #: 44 us for 4,088 against 25 us per atom directly; a 33 x 512 audit breaks even at 2 atoms
 _TABLE_COST = 2.0
+#: audited types and report grid points
+_TYPES, _REPORTS = 33, 512
+#: Monte Carlo rounds drawn at a time
+_CHUNK = 250_000
 
 
 def _check_format(fmt, scenario):
@@ -127,7 +131,7 @@ def spa_report_utility(scenario, solution, v, t):
 def _fpa_audit_rows(scenario, solution, types, reports, at, own):
     """psi of each type over the reports plus its own truthful report, from the
     truthful diagonal and a (types x reports) table evaluated in slabs of rows of
-    about ``_SLAB`` entries, so no temporary is mapped afresh (see ``spa._SLAB``)."""
+    about ``_SLAB`` entries, so no temporary is mapped afresh (see ``fpa._SLAB``)."""
     truthful = fpa_report_utility(scenario, solution, types, types)
     step = max(1, _SLAB // reports.size)
     for start in range(0, types.size, step):
@@ -212,20 +216,14 @@ class AuditReport:
         }
 
 
-def best_response_audit(
-    fmt,
-    scenario,
-    solution,
-    type_grid_size=33,
-    deviation_grid_size=512,
-    audit_tol=1e-6,
-):
+def best_response_audit(fmt, scenario, solution, audit_tol=1e-6):
     """Sweep report deviations for a grid of types; measure the best gain.
 
-    For each audited type, expected utility is evaluated on a uniform
-    report grid over the support plus the truthful report itself; the
-    audit passes when no type gains more than ``audit_tol`` and every
-    argmax lies within one deviation-grid cell of the truthful report.
+    For each of ``_TYPES`` evenly spaced types, expected utility is evaluated
+    on ``_REPORTS`` evenly spaced reports over the support plus the truthful
+    report itself; the audit passes when no type gains more than
+    ``audit_tol`` and every argmax lies within one report-grid cell of the
+    truthful report.
     No bid above the top of the solved schedule needs a probe: the report
     grid ends at the top of the support, whose bid already wins with
     certainty, at a price no higher than any larger bid.
@@ -239,25 +237,22 @@ def best_response_audit(
     expectation M(v - b) and the cumulative sum, so no (types x panels x 8)
     array is built.  M is read from one cubic Hermite table of M and M' on
     2^13 cells of the swept surplus interval where the sweep makes more
-    utility calls than the table (3 noise atoms or more at the default sizes)
-    and the table is finite and within 4 eps max(1, |M|) of the direct sum
-    at every cell midpoint; otherwise M is summed over the atoms, as
+    utility calls than the table (3 noise atoms or more) and the table is
+    finite and within 4 eps max(1, |M|) of the direct sum at every cell
+    midpoint; otherwise M is summed over the atoms, as
     :func:`spa_report_utility` always does.
 
-    ``fmt`` must name the scenario's own format, ``type_grid_size`` an
-    integer >= 1, ``deviation_grid_size`` one >= 2 and ``audit_tol`` a
+    ``fmt`` must name the scenario's own format and ``audit_tol`` be a
     finite number >= 0, else ``ConfigError``.
     """
     _check_format(fmt, scenario)
-    n_types = integer_count(type_grid_size, "type_grid_size", 1)
-    n_reports = integer_count(deviation_grid_size, "deviation_grid_size", 2)
     audit_tol = finite_number(audit_tol, "audit_tol")
     if audit_tol < 0:  # 0 is exact: gains within rounding already read 0
         raise ConfigError(f"audit_tol must be >= 0, got {audit_tol}")
     lo, hi = scenario.values.support
-    types = np.linspace(lo, hi, n_types)
-    reports = np.linspace(lo, hi, n_reports)
-    cell = (hi - lo) / (n_reports - 1)
+    types = np.linspace(lo, hi, _TYPES)
+    reports = np.linspace(lo, hi, _REPORTS)
+    cell = (hi - lo) / (_REPORTS - 1)
     # each type's place among the reports, where its own report goes
     # unless it is one of them
     at = np.searchsorted(reports, types)
@@ -289,7 +284,7 @@ def best_response_audit(
         max_gain=max_gain,
         passed=passed,
         audit_tol=audit_tol,
-        deviation_grid_size=n_reports,
+        deviation_grid_size=_REPORTS,
     )
 
 
@@ -337,20 +332,19 @@ def _merge_moments(acc, x):
     return n_a + n_b, sum_a + sum_b, m2_a + m2_b
 
 
-def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_000):
+def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0):
     """Replay the auction on sampled profiles; accumulate revenue stats.
 
     All bidders follow the solved schedule; ties are broken uniformly at
     random.  The scenario's ``units`` go to the highest bids (first price
     sells one), and ``fmt`` must name the scenario's own format, else
-    ``ConfigError``.  Reproducible for a given seed and ``chunk_size``, the
-    number of rounds drawn at a time.  ``rounds`` and ``seed`` must be
-    integers >= 0 and ``chunk_size`` one >= 1, else ``ConfigError``.
+    ``ConfigError``.  Reproducible for a given seed; rounds are drawn
+    ``_CHUNK`` at a time.  ``rounds`` and ``seed`` must be integers >= 0,
+    else ``ConfigError``.
     """
     _check_format(fmt, scenario)
     rounds = integer_count(rounds, "rounds", 0)
     seed = integer_count(seed, "seed", 0)
-    chunk_size = integer_count(chunk_size, "chunk_size", 1)
     if rounds == 0:
         return StatsReport(format=fmt, rounds=0, seed=seed)
 
@@ -367,7 +361,7 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0, chunk_size=250_
 
     done = 0
     while done < rounds:
-        m = min(chunk_size, rounds - done)
+        m = min(_CHUNK, rounds - done)
         vals = vm.sample(rng, m)
         bids = np.asarray(solution.bid_at(vals), dtype=float)
 

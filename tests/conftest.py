@@ -28,8 +28,10 @@ from riskbid import (
     NoisyWin,
     UniformDist,
     ValueModel,
+    fpa,
     solve_fpa,
     solve_spa,
+    spa,
 )
 
 
@@ -283,3 +285,30 @@ def vickrey_solutions():
         )
         cache[name] = (scn, solve_spa(scn))
     return cache
+
+
+# ---------------------------------------------------------------------------
+# doctored comparisons
+# ---------------------------------------------------------------------------
+
+def doctor_fpa_compare(monkeypatch, drop):
+    """Make ``compare_risk_aversion_fpa``'s bent schedule its baseline less ``drop``."""
+    real = fpa._solve_joint
+
+    def solve(scenario, utilities):
+        base, _ = real(scenario, utilities)
+        return [base, replace(base, bids=base.bids - drop)]
+
+    monkeypatch.setattr(fpa, "_solve_joint", solve)
+
+
+def doctor_spa_compare(monkeypatch, base_by, bent_by):
+    """Make ``compare_risk_aversion_spa``'s schedules its baseline moved up by
+    ``base_by`` and ``bent_by``."""
+    real = spa._solve
+
+    def solve(scenario, u):
+        base = real(scenario, scenario.utility)
+        return replace(base, bids=base.bids + (base_by if u is scenario.utility else bent_by))
+
+    monkeypatch.setattr(spa, "_solve", solve)

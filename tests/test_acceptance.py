@@ -239,8 +239,7 @@ def test_07_best_response_audits(closed_form_solutions, fpa_solutions,
 
     def audit(fmt, scenario, solution, label):
         nonlocal audited, worst_gain
-        rep = best_response_audit(fmt, scenario, solution,
-                                  deviation_grid_size=512, audit_tol=1e-6)
+        rep = best_response_audit(fmt, scenario, solution, audit_tol=1e-6)
         audited += 1
         worst_gain = max(worst_gain, rep.max_gain)
         if not rep.passed:
@@ -262,12 +261,12 @@ def test_07_best_response_audits(closed_form_solutions, fpa_solutions,
     bad = EquilibriumSolution.from_grid(bent.grid, bent.bids * 1.1,
                                         v_floor=bent.v_floor,
                                         boundary_bid=bent.boundary_bid)
-    frep = best_response_audit("fpa", scn, bad, deviation_grid_size=512)
+    frep = best_response_audit("fpa", scn, bad)
     sscn, _, sbent = spa_solutions["uniform-crra03"]
     sbad = EquilibriumSolution.from_grid(sbent.grid, sbent.bids * 1.1,
                                          v_floor=sbent.v_floor,
                                          boundary_bid=sbent.boundary_bid)
-    srep = best_response_audit("spa", sscn, sbad, deviation_grid_size=512)
+    srep = best_response_audit("spa", sscn, sbad)
     controls_ok = (not frep.passed and frep.max_gain > 1e-3
                    and not srep.passed and srep.max_gain > 1e-3)
 

@@ -24,6 +24,8 @@ from riskbid.cli import main, read_solution_csv
 from riskbid.config import build_scenario
 from riskbid.errors import ConfigError, OrderingViolation
 
+from conftest import doctor_fpa_compare, doctor_spa_compare
+
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 UNIFORM3 = {"support": [0.0, 1.0], "n": 3, "kind": "iid", "dist": {"family": "uniform"}}
 
@@ -343,6 +345,28 @@ def test_compare_violation_exits_4(tmp_path, capsys, monkeypatch, doc, compare, 
     assert list(verdict) == ["ordering_holds", extremum, "tolerance", "detail"]
 
 
+@pytest.mark.parametrize("doc, doctor, extremum, detail", [
+    (FPA_CFG, lambda mp: doctor_fpa_compare(mp, 1e-3), "min_d",
+     "transformed bids fall 1.000e-03 below the baseline"),
+    (SPA_CFG, lambda mp: doctor_spa_compare(mp, 0.0, 1e-3), "max_d",
+     "transformed bids rise 1.000e-03 above the baseline"),
+], ids=["fpa", "spa"])
+def test_compare_of_doctored_schedules_exits_4(tmp_path, capsys, monkeypatch, doc, doctor,
+                                               extremum, detail):
+    # the comparison itself raises, on solved schedules doctored to violate the ordering
+    doctor(monkeypatch)
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"ordering violated: {detail}\n")
+    d = np.loadtxt(out / "comparison.csv", delimiter=",", skiprows=1)[:, 3]
+    assert d.size == doc["grid"]
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert list(verdict) == ["ordering_holds", extremum, "tolerance", "detail"]
+    assert verdict["ordering_holds"] is False and verdict["detail"] == detail
+    assert verdict[extremum] == (d.min() if extremum == "min_d" else d.max())
+
+
 def test_compare_requires_transform(tmp_path):
     doc = dict(FPA_CFG)
     doc["transform"] = None
@@ -521,6 +545,23 @@ def test_audit_rejects_wrong_header(tmp_path):
     text = (out / "solution.csv").read_text()
     (out / "solution.csv").write_text("a,b,c\n" + text.split("\n", 1)[1])
     assert main(["audit", "--config", cfg, "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_header_only_solution_is_one_config_error(tmp_path, command):
+    # a fresh process, so stderr shows any warning numpy prints on the way
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    cfg = write_cfg(tmp_path, FPA_CFG)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "solution.csv").write_text("v,beta,foc_residual\n")
+    proc = subprocess.run([sys.executable, "-m", "riskbid", command, "--config", cfg,
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    path = os.path.join(str(out), "solution.csv")
+    assert proc.stderr == f"config error: solution {path} must have >= 2 rows of 3 columns\n"
+    assert sorted(os.listdir(out)) == ["solution.csv"]
 
 
 def test_simulate_writes_stats(tmp_path):

@@ -41,9 +41,9 @@ from riskbid import (
     solve_fpa,
     solve_spa,
 )
-from riskbid import _dop853
+from riskbid import _dop853, fpa
 from riskbid.fpa import (
-    _BLOCK,
+    _SLAB,
     _in_slabs,
     _interpolant_slope,
     _solve_joint,
@@ -52,7 +52,7 @@ from riskbid.fpa import (
     check_monotone,
 )
 
-from conftest import fpa_matrix
+from conftest import doctor_fpa_compare, fpa_matrix
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 
@@ -363,8 +363,6 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         FPAScenario(values=UNIT3, ode_tol=0.0)
     with pytest.raises(ConfigError):
-        FPAScenario(values=UNIT3, start_offset=0.9)  # more than half the span
-    with pytest.raises(ConfigError):
         FPAScenario(values=UNIT3, boundary_bid=0.5)  # above zero surplus
 
 
@@ -379,6 +377,23 @@ def test_default_boundary_is_zero_surplus():
     assert scn.boundary_bid == pytest.approx(0.25)
     scn2 = FPAScenario(values=UNIT3)
     assert scn2.boundary_bid == 0.0
+
+
+def test_replace_keeps_a_defaulted_boundary_bid():
+    # the default is stored at construction, so a copy keeps it; a copy with
+    # new values or outside passes boundary_bid=None to take its own
+    scn = FPAScenario(values=UNIT3, grid=129)
+    with pytest.raises(ConfigError, match="^boundary bid 0 exceeds the zero-surplus bid -0.3 "):
+        replace(scn, outside=ConstantOutside(0.3))
+    assert replace(scn, outside=ConstantOutside(0.3), boundary_bid=None).boundary_bid == -0.3
+    high = ValueModel.iid(UniformDist(5.0, 6.0), 3)
+    kept = solve_fpa(replace(scn, values=high))
+    fresh = solve_fpa(FPAScenario(values=high, grid=129))
+    assert (kept.boundary_bid, fresh.boundary_bid) == (0.0, 5.0)
+    assert round(kept.bids[0], 2) == 3.33 and round(fresh.bids[0], 4) == 5.0
+    assert round(kept.bids[1], 4) == round(fresh.bids[1], 4) == 5.0052
+    own = solve_fpa(replace(scn, values=high, boundary_bid=None))
+    assert own.bids.tobytes() == fresh.bids.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +424,11 @@ def test_solution_reports_health(closed_form_solutions):
     assert sol.bid_at(0.5) == pytest.approx(0.4, rel=1e-6)
 
 
-def test_start_offset_insensitivity():
+def test_start_offset_insensitivity(monkeypatch):
     scn = FPAScenario(values=UNIT3, utility=CRRAUtility(0.5), grid=129)
     sol1 = solve_fpa(scn)
-    sol2 = solve_fpa(replace(scn, start_offset=1e-4 * scn.span))
+    monkeypatch.setattr(fpa, "START_OFFSET_FACTOR", 1e-4)
+    sol2 = solve_fpa(FPAScenario(values=UNIT3, utility=CRRAUtility(0.5), grid=129))
     ts = np.linspace(0.05, 1.0, 100)
     assert np.max(np.abs(sol1.bid_at(ts) - sol2.bid_at(ts))) < 1e-9
 
@@ -578,12 +594,12 @@ def test_spline_blocks_change_no_bits(extra):
     blocks, rest = extra
     sol = _spline_schedules(257)[1]
     spline = sol._spline
-    t = np.random.default_rng(blocks).uniform(sol.grid[0], sol.grid[-1], blocks * _BLOCK + rest)
+    t = np.random.default_rng(blocks).uniform(sol.grid[0], sol.grid[-1], blocks * _SLAB + rest)
     block, sizes = spline._block, []
     whole = block(t)
     spline._block = lambda part: sizes.append(part.size) or block(part)
     assert sol.bid_at(t).tobytes() == whole.tobytes()
-    assert sizes == [_BLOCK] * (blocks - 1) + [_BLOCK + rest]  # the last block takes the rest
+    assert sizes == [_SLAB] * (blocks - 1) + [_SLAB + rest]  # the last block takes the rest
 
 
 def test_in_slabs_takes_a_0d_input_whole():
@@ -770,9 +786,15 @@ def test_compare_matches_crra_power_oracle(n, k):
         assert np.max(np.abs(bids[keep] - exact)) <= 1e-9, (m, rho)
 
 
-def test_ordering_violation_raises_with_report():
+def test_ordering_violation_raises_with_report(monkeypatch):
     scn = FPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=1.0), grid=129)
-    rep = compare_risk_aversion_fpa(scn)
-    # a genuine violation is not constructible here; exercise the error type
-    err = OrderingViolation("synthetic", report=rep)
-    assert err.report is rep
+    doctor_fpa_compare(monkeypatch, 1e-3)  # the bent bids fall 1e-3 below the baseline
+    with pytest.raises(OrderingViolation,
+                       match="^transformed bids fall 1.000e-03 below the baseline$") as info:
+        compare_risk_aversion_fpa(scn)
+    rep = info.value.report
+    assert (rep.extremum, rep.tolerance) == ("min_d", 10 * scn.ode_tol)
+    assert rep.beta_hat.tobytes() == (rep.beta - 1e-3).tobytes()
+    assert rep.min_d == pytest.approx(-1e-3)
+    gap = rep.diagnostics["tradeoff_bent"] - rep.diagnostics["tradeoff_base"]
+    assert rep.diagnostics["tradeoff_gap"].tobytes() == gap.tobytes()

@@ -24,6 +24,7 @@ from riskbid import (
     LinearUtility,
     LogUtility,
     NoisyWin,
+    OrderingViolation,
     PiecewiseLinearUtility,
     SolverWarning,
     SPAScenario,
@@ -39,6 +40,8 @@ from riskbid import (
 )
 from riskbid import spa
 from riskbid.spa import _MAX_BISECT, _SLAB
+
+from conftest import doctor_spa_compare
 
 UNIT3 = ValueModel.iid(UniformDist(0.0, 1.0), 3)
 TWO_POINT = DiscreteNoise([-1.0, 1.0], [0.5, 0.5])
@@ -467,6 +470,31 @@ def test_compare_sharper_bend_shades_more():
     d1 = compare_risk_aversion_spa(base).min_d
     d2 = compare_risk_aversion_spa(sharp).min_d
     assert d2 < d1 < 0
+
+
+@pytest.mark.parametrize("base_by, bent_by, match", [
+    (0.0, 1e-3, "^transformed bids rise 1.000e-03 above the baseline$"),
+    (-0.05, -0.05, r"^transformed utility strictly prefers winning at the baseline bid for "
+                   r"some type \(slack -"),
+], ids=["bids_rise", "negative_slack"])
+def test_ordering_violation_raises_with_report(monkeypatch, base_by, bent_by, match):
+    # doctored schedules: the bent bids rise above the baseline, or both fall
+    # until the bent utility strictly prefers winning at the baseline bid
+    scn = SPAScenario(values=UNIT3, transform=CRRAUtility(0.5, shift=2.0),
+                      win_payoff=NoisyWin(TWO_POINT, scale=0.2), grid=65)
+    truthful = solve_spa(replace(scn, transform=None)).bids
+    doctor_spa_compare(monkeypatch, base_by, bent_by)
+    with pytest.raises(OrderingViolation, match=match) as info:
+        compare_risk_aversion_spa(scn)
+    rep = info.value.report
+    assert (rep.extremum, rep.tolerance) == ("max_d", 10 * scn.root_tol)
+    assert rep.beta.tobytes() == (truthful + base_by).tobytes()
+    assert rep.beta_hat.tobytes() == (truthful + bent_by).tobytes()
+    slack = rep.diagnostics["pivotal_slack"]
+    if base_by:
+        assert rep.max_d <= rep.tolerance and np.min(slack) < -rep.tolerance
+    else:
+        assert rep.max_d == pytest.approx(1e-3) and np.all(slack >= 0)
 
 
 def test_compare_slack_is_minus_inf_win_for_out_of_domain_atoms():

@@ -383,10 +383,16 @@ def test_audit_fails_when_truthful_report_leaves_domain(fmt, scenario_cls):
     assert rep.max_gain == np.inf
 
 
-def test_audit_report_shape_and_json(fpa_pair):
+def _audit_sizes(monkeypatch, types, reports):
+    """Audit ``types`` types against ``reports`` report points from here on."""
+    monkeypatch.setattr(verification, "_TYPES", types)
+    monkeypatch.setattr(verification, "_REPORTS", reports)
+
+
+def test_audit_report_shape_and_json(monkeypatch, fpa_pair):
     scn, sol = fpa_pair
-    rep = best_response_audit("fpa", scn, sol, type_grid_size=17,
-                              deviation_grid_size=128)
+    _audit_sizes(monkeypatch, 17, 128)
+    rep = best_response_audit("fpa", scn, sol)
     assert rep.types.shape == rep.gains.shape == (len(rep.best_reports),)
     assert rep.deviation_grid_size == 128
     assert np.all(rep.gains >= 0)
@@ -488,9 +494,10 @@ def test_audit_matches_per_type_loop(monkeypatch, name):
     # on the direct path: no sweep reads M from a table
     monkeypatch.setattr(verification, "_TABLE_COST", np.inf)
     fmt, scn, sol = _audit_case(name)
-    # in the last two sizes every type is a report point, so no panel splits
-    for sizes in ((33, 512), (17, 128), (33, 33), (2, 2)):
-        rep = best_response_audit(fmt, scn, sol, *sizes)
+    # in the last three sizes every type is a report point, so no panel splits
+    for sizes in ((33, 512), (17, 128), (33, 33), (2, 2), (1, 2)):
+        _audit_sizes(monkeypatch, *sizes)
+        rep = best_response_audit(fmt, scn, sol)
         got = (rep.types, rep.best_reports, rep.gains, rep.max_gain, rep.passed)
         want = reference_best_response_audit(fmt, scn, sol, *sizes)
         for field, a, b in zip(("types", "best_reports", "gains", "max_gain", "passed"), got, want):
@@ -534,8 +541,9 @@ def test_refused_table_audit_matches_per_type_loop(monkeypatch, transform):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
 
 
-def test_audit_cases_cover_passes_and_failures():
-    passed = {name: best_response_audit(*_audit_case(name), 17, 128).passed
+def test_audit_cases_cover_passes_and_failures(monkeypatch):
+    _audit_sizes(monkeypatch, 17, 128)
+    passed = {name: best_response_audit(*_audit_case(name)).passed
               for name in _AUDIT_CASES}
     assert passed["spa_u3_deterministic"] and passed["fpa_u3"]
     assert not passed["spa_truthful_minus_inf"] and not passed["fpa_mix_truthful_minus_inf"]
@@ -544,58 +552,26 @@ def test_audit_cases_cover_passes_and_failures():
     assert not passed["fpa_mix_crra_inflated"] and not passed["fpa_u3_outside_cara_deflated"]
 
 
-@pytest.mark.parametrize(
-    "sizes, name",
-    [
-        ((0, 512), "type_grid_size"),
-        ((-3, 512), "type_grid_size"),
-        ((2.5, 512), "type_grid_size"),
-        ((True, 512), "type_grid_size"),
-        ((33.0, 512), "type_grid_size"),
-        (("33", 512), "type_grid_size"),
-        ((33, 1), "deviation_grid_size"),
-        ((33, 0), "deviation_grid_size"),
-        ((33, 64.5), "deviation_grid_size"),
-        ((33, True), "deviation_grid_size"),
-        ((33, None), "deviation_grid_size"),
-    ],
-)
-@pytest.mark.parametrize("fmt", ["fpa", "spa"])
-def test_audit_rejects_bad_grid_sizes(fmt, sizes, name, fpa_pair, spa_pair):
-    scn, sol = fpa_pair if fmt == "fpa" else spa_pair
-    with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
-        best_response_audit(fmt, scn, sol, *sizes)
-
-
-@pytest.mark.parametrize("fmt", ["fpa", "spa"])
-def test_audit_accepts_smallest_and_numpy_grid_sizes(fmt, fpa_pair, spa_pair):
-    scn, sol = fpa_pair if fmt == "fpa" else spa_pair
-    one = best_response_audit(fmt, scn, sol, 1, 2)
-    assert one.types.tolist() == [0.0] and one.passed
-    rep = best_response_audit(fmt, scn, sol, np.int64(5), np.int32(64))
-    assert rep.deviation_grid_size == 64 and type(rep.deviation_grid_size) is int
-    assert rep.to_json() == best_response_audit(fmt, scn, sol, 5, 64).to_json()
-
-
-def _spa_audit_peak(types, scn=SPAScenario(values=U3, transform=_EDGE64, win_payoff=_TNORM64,
-                                            grid=1025)):
-    """(traced peak bytes of a 64-atom audit at grid 1025, bytes of one
-    (panels x 8 x atoms) float64 tensor)."""
+def _spa_audit_peak(monkeypatch, types, scn=SPAScenario(values=U3, transform=_EDGE64,
+                                                         win_payoff=_TNORM64, grid=1025)):
+    """(traced peak bytes of a 64-atom audit of ``types`` types at grid 1025,
+    bytes of one (panels x 8 x atoms) float64 tensor)."""
     atoms = scn._noise_rule[0].size
     assert atoms == 64
     sol = solve_spa(scn)
-    best_response_audit("spa", scn, sol, type_grid_size=types)  # warm caches outside the trace
+    monkeypatch.setattr(verification, "_TYPES", types)
+    best_response_audit("spa", scn, sol)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        best_response_audit("spa", scn, sol, type_grid_size=types)
+        best_response_audit("spa", scn, sol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak, 511 * 8 * atoms * 8
 
 
-def test_spa_audit_never_holds_the_whole_tensor():
-    peak, whole = _spa_audit_peak(33)
+def test_spa_audit_never_holds_the_whole_tensor(monkeypatch):
+    peak, whole = _spa_audit_peak(monkeypatch, 33)
     assert peak < whole, (peak, whole)
 
 
@@ -606,15 +582,15 @@ def test_tabled_spa_audit_never_holds_the_whole_tensor(monkeypatch):
                       win_payoff=NoisyWin(TruncatedNormalNoise(0.0, 1.0, -3.0, 3.0), scale=0.25),
                       grid=1025)
     built = _spy_tables(monkeypatch)
-    peak, whole = _spa_audit_peak(33, scn)
+    peak, whole = _spa_audit_peak(monkeypatch, 33, scn)
     assert built and all(table is not None for table in built)
     assert peak < whole, (peak, whole)
 
 
-def test_spa_audit_holds_no_array_per_type_and_node():
+def test_spa_audit_holds_no_array_per_type_and_node(monkeypatch):
     # at 65 types one (types x panels x 8) float64 array is larger than the
     # bound as well (at 33 it would fit under it)
-    peak, whole = _spa_audit_peak(65)
+    peak, whole = _spa_audit_peak(monkeypatch, 65)
     assert 65 * 511 * 8 * 8 > whole
     assert peak < whole, (peak, whole)
 
@@ -685,7 +661,7 @@ def test_mc_units_come_from_the_scenario():
 
 
 def _audit(fmt, scn, sol):
-    return best_response_audit(fmt, scn, sol, type_grid_size=5, deviation_grid_size=64)
+    return best_response_audit(fmt, scn, sol)
 
 
 def _replay(fmt, scn, sol):
@@ -719,22 +695,17 @@ def test_mc_determinism(fpa_pair):
     assert c.mean_revenue != a.mean_revenue
 
 
-def test_mc_chunking_consistency(fpa_pair):
+def test_mc_chunking_consistency(monkeypatch, fpa_pair):
     # chunk size reshapes how the stream is consumed, so estimates differ,
     # but each is deterministic and they agree statistically
     scn, sol = fpa_pair
-    a = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4, chunk_size=7_000)
-    a2 = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4, chunk_size=7_000)
+    monkeypatch.setattr(verification, "_CHUNK", 7_000)
+    a = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4)
+    a2 = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4)
     assert a.mean_revenue == a2.mean_revenue
-    b = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4, chunk_size=30_000)
+    monkeypatch.setattr(verification, "_CHUNK", 30_000)
+    b = monte_carlo_auction("fpa", scn, sol, 30_000, seed=4)
     assert abs(a.mean_revenue - b.mean_revenue) < 3 * (a.se_revenue + b.se_revenue)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -5, 2.5, "1000", True])
-def test_mc_rejects_bad_chunk_size(fpa_pair, chunk_size):
-    scn, sol = fpa_pair
-    with pytest.raises(ConfigError, match="chunk_size"):
-        monte_carlo_auction("fpa", scn, sol, 1_000, chunk_size=chunk_size)
 
 
 @pytest.mark.parametrize("bad", [
@@ -749,11 +720,11 @@ def test_mc_rejects_bad_rounds_and_seed(fpa_pair, bad):
         monte_carlo_auction("fpa", scn, sol, **{"rounds": 1_000, "seed": 0, **bad})
 
 
-def test_mc_accepts_numpy_integers(fpa_pair):
+def test_mc_accepts_numpy_integers(monkeypatch, fpa_pair):
     scn, sol = fpa_pair
-    a = monte_carlo_auction("fpa", scn, sol, np.int64(2_000), seed=np.uint8(3),
-                            chunk_size=np.int32(700))
-    b = monte_carlo_auction("fpa", scn, sol, 2_000, seed=3, chunk_size=700)
+    monkeypatch.setattr(verification, "_CHUNK", 700)  # a ragged last chunk
+    a = monte_carlo_auction("fpa", scn, sol, np.int64(2_000), seed=np.uint8(3))
+    b = monte_carlo_auction("fpa", scn, sol, 2_000, seed=3)
     assert a == b
     assert type(a.rounds) is int and type(a.seed) is int
     json.dumps(a.to_json())
@@ -782,7 +753,6 @@ _NUMERIC_PARAMETERS = {
     "AffineOutside.c1": lambda x: AffineOutside(0.0, x),
     "FPAScenario.boundary_bid": lambda x: FPAScenario(values=U3, boundary_bid=x),
     "FPAScenario.ode_tol": lambda x: FPAScenario(values=U3, ode_tol=x),
-    "FPAScenario.start_offset": lambda x: FPAScenario(values=U3, start_offset=x),
     "SPAScenario.root_tol": lambda x: SPAScenario(values=U3, root_tol=x),
     "EquilibriumSolution.v_floor": lambda x: EquilibriumSolution.from_grid(
         [0.0, 1.0], [0.0, 0.5], v_floor=x),
