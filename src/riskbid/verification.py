@@ -335,12 +335,16 @@ def _merge_moments(acc, x):
 def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0):
     """Replay the auction on sampled profiles; accumulate revenue stats.
 
-    All bidders follow the solved schedule; ties are broken uniformly at
-    random.  The scenario's ``units`` go to the highest bids (first price
-    sells one), and ``fmt`` must name the scenario's own format, else
-    ``ConfigError``.  Reproducible for a given seed; rounds are drawn
-    ``_CHUNK`` at a time.  ``rounds`` and ``seed`` must be integers >= 0,
-    else ``ConfigError``.
+    All bidders follow the solved schedule.  The scenario's ``units`` go
+    to the highest bids (first price sells one), and ``fmt`` must name the
+    scenario's own format, else ``ConfigError``.  Rounds are drawn
+    ``_CHUNK`` at a time and replayed bidder-major, one row per seat: a
+    seat's rank is the number of rivals that outbid it, one row comparison
+    per pair of seats.  A tie that decides who wins is broken by a seat
+    order drawn for that round alone; other ties, which leave the winners
+    and the price as they are, by one drawn per chunk.  A seed reproduces
+    the report bit for bit.  ``rounds`` and ``seed`` must be integers
+    >= 0, else ``ConfigError``.
     """
     _check_format(fmt, scenario)
     rounds = integer_count(rounds, "rounds", 0)
@@ -354,6 +358,7 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0):
     units = 1 if fmt == "fpa" else scenario.units
     win_payoff = getattr(scenario, "win_payoff", None)
     rng = np.random.default_rng(seed)
+    seats = np.arange(n, dtype=np.min_scalar_type(n))[:, None]  # a rank is at most n - 1
 
     rev_acc = util_acc = (0, 0.0, 0.0)
     eff_count = 0
@@ -362,31 +367,46 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0):
     done = 0
     while done < rounds:
         m = min(_CHUNK, rounds - done)
-        vals = vm.sample(rng, m)
+        vals = np.ascontiguousarray(vm.sample(rng, m).T)
         bids = np.asarray(solution.bid_at(vals), dtype=float)
 
-        # random column relabeling before a stable sort breaks ties uniformly
+        # a tie goes to the seat earlier in a random order, as a stable sort of the
+        # relabelled seats ranks it: seat perm[a] starts at rank a, and a pair whose
+        # later seat bids more moves that seat up one rank and the other down one
         perm = rng.permutation(n)
-        order_p = np.argsort(-bids[:, perm], axis=1, kind="stable")
-        order = perm[order_p]
-        ranked_bids = np.take_along_axis(bids, order, axis=1)
+        rank = np.empty_like(bids, dtype=seats.dtype)
+        rank[perm] = seats
+        for a, i in enumerate(perm):
+            for j in perm[a + 1:]:
+                ahead = bids[j] > bids[i]
+                rank[i] += ahead
+                rank[j] -= ahead
+        # the seats ranked 0..units; a round whose last winner ties the first loser
+        # draws its own seat order
+        order = np.stack([((rank == r) * seats).sum(axis=0, dtype=np.intp)
+                          for r in range(units + 1)])
+        ranked_bids = np.take_along_axis(bids, order, axis=0)  # the same for any tie-break
+        tied = np.flatnonzero(ranked_bids[-2] == ranked_bids[-1])
+        if tied.size:
+            keys = rng.random((n, tied.size))
+            order[:, tied] = np.lexsort((keys, -bids[:, tied]), axis=0)[:units + 1]
 
-        winners = order[:, :units]
-        win_vals = np.take_along_axis(vals, winners, axis=1)
+        winners = order[:units]
+        win_vals = np.take_along_axis(vals, winners, axis=0)
         # first price: the winner pays its own bid; otherwise the winners
         # pay the highest losing bid
-        col = 0 if fmt == "fpa" else units
-        price = ranked_bids[:, col:col + 1]
-        w = win_vals if win_payoff is None else win_payoff.sample(rng, win_vals)
-        revenue = units * price[:, 0]
+        price = ranked_bids[0 if fmt == "fpa" else units]
+        w = win_vals if win_payoff is None else win_payoff.sample(rng, win_vals.T).T
+        revenue = units * price
 
         util = np.broadcast_to(u.value(scenario.outside.value(vals)), vals.shape).copy()
-        np.put_along_axis(util, winners, np.asarray(u.value(w - price)), axis=1)
-        round_util = util.mean(axis=1)
+        np.put_along_axis(util, winners, u.value(w - price), axis=0)
+        # numpy sums a row of 8 or more pairwise, shorter ones in order as axis 0 does
+        round_util = util.mean(axis=0) if n < 8 else np.ascontiguousarray(util.T).mean(axis=1)
 
-        np.add.at(seat_wins, winners.ravel(), 1.0)
-        top_vals = -np.sort(-vals, axis=1)
-        eff_count += int(np.sum(win_vals.min(axis=1) >= top_vals[:, units - 1] - 1e-12))
+        seat_wins += np.bincount(winners.ravel(), minlength=n)
+        # fl(v - 1e-12) is monotone, so this is v_(units) - 1e-12 <= the least winning value
+        eff_count += int(np.sum(np.sum(vals - 1e-12 > win_vals.min(axis=0), axis=0) < units))
 
         rev_acc = _merge_moments(rev_acc, revenue)
         util_acc = _merge_moments(util_acc, round_util)

@@ -31,6 +31,7 @@ from riskbid import (
     SingularHazard,
     SolverWarning,
     SPAScenario,
+    TruncatedNormalDist,
     UniformDist,
     ValueModel,
     best_response_audit,
@@ -541,6 +542,39 @@ def test_bid_at_matches_milgrom_weber_oracle(utility, rho):
     mids = 0.5 * (sol.grid[cells] + sol.grid[cells + 1])
     t = np.concatenate([mids, sol.grid[cells], sol.grid[cells + 1]])
     oracle = np.array([_milgrom_weber_bid(x, 3, weight, rho) for x in t])
+    assert np.max(np.abs(sol.bid_at(t) - oracle)) <= 1e-9
+
+
+def _truncated_normal_bid(v, mu, sigma, lo, hi, n, rho):
+    """First-price bid at v for n IID Normal(mu, sigma) values truncated to
+    [lo, hi], with CRRA(rho) utility and no outside option.
+
+    Riley & Samuelson (1981); Krishna (2010, sec. 4.1): with
+    m = (n - 1) / (1 - rho), beta(v) = v - int_lo^v F(s)^m ds / F(v)^m.
+    F is written here on math.erf, independently of TruncatedNormalDist.
+    """
+    def phi(x):
+        return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
+
+    def cdf(s):
+        return (phi(s) - phi(lo)) / (phi(hi) - phi(lo))
+
+    m = (n - 1) / (1.0 - rho)
+    area = quad(lambda s: cdf(s) ** m, lo, v, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return v - area / cdf(v) ** m
+
+
+@pytest.mark.parametrize("mu, sigma, lo, hi, n, rho", [
+    (0.5, 0.2, 0.0, 1.0, 3, 0.5), (0.0, 1.0, -1.0, 2.0, 2, 0.0), (1.0, 0.5, 0.0, 2.0, 4, 0.7),
+])
+def test_bid_at_matches_truncated_normal_oracle(mu, sigma, lo, hi, n, rho):
+    values = ValueModel.iid(TruncatedNormalDist(mu, sigma, lo, hi), n)
+    sol = solve_fpa(FPAScenario(values=values, utility=CRRAUtility(rho), grid=257))
+    cells = np.linspace(0, len(sol.grid) - 2, 16).astype(int)  # bottom to top
+    mids = 0.5 * (sol.grid[cells] + sol.grid[cells + 1])
+    t = np.concatenate([mids, sol.grid[cells], sol.grid[cells + 1]])
+    t = t[t > lo + 0.01 * (hi - lo)]  # the oracle's 0/0 at lo is left out
+    oracle = np.array([_truncated_normal_bid(x, mu, sigma, lo, hi, n, rho) for x in t])
     assert np.max(np.abs(sol.bid_at(t) - oracle)) <= 1e-9
 
 

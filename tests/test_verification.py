@@ -32,6 +32,7 @@ from riskbid import (
     TruncatedNormalDist,
     TruncatedNormalNoise,
     UniformDist,
+    UniformNoise,
     ValueModel,
     best_response_audit,
     fpa_report_utility,
@@ -728,6 +729,124 @@ def test_mc_accepts_numpy_integers(monkeypatch, fpa_pair):
     assert a == b
     assert type(a.rounds) is int and type(a.seed) is int
     json.dumps(a.to_json())
+
+
+def reference_monte_carlo(fmt, scenario, solution, rounds, seed):
+    """``monte_carlo_auction`` as a round-major loop: each chunk is an
+    (m, n) array ranked by a stable argsort of the relabelled seats.  Ties
+    are broken once per chunk, so it is a reference for tie-free replays
+    only."""
+    u = scenario.effective_utility()
+    vm = scenario.values
+    n = vm.n
+    units = 1 if fmt == "fpa" else scenario.units
+    win_payoff = getattr(scenario, "win_payoff", None)
+    rng = np.random.default_rng(seed)
+    rev_acc = util_acc = (0, 0.0, 0.0)
+    eff_count = 0
+    seat_wins = np.zeros(n)
+    done = 0
+    while done < rounds:
+        m = min(verification._CHUNK, rounds - done)
+        vals = vm.sample(rng, m)
+        bids = np.asarray(solution.bid_at(vals), dtype=float)
+        perm = rng.permutation(n)
+        order = perm[np.argsort(-bids[:, perm], axis=1, kind="stable")]
+        ranked_bids = np.take_along_axis(bids, order, axis=1)
+        winners = order[:, :units]
+        win_vals = np.take_along_axis(vals, winners, axis=1)
+        col = 0 if fmt == "fpa" else units
+        price = ranked_bids[:, col:col + 1]
+        w = win_vals if win_payoff is None else win_payoff.sample(rng, win_vals)
+        util = np.broadcast_to(u.value(scenario.outside.value(vals)), vals.shape).copy()
+        np.put_along_axis(util, winners, np.asarray(u.value(w - price)), axis=1)
+        np.add.at(seat_wins, winners.ravel(), 1.0)
+        top_vals = -np.sort(-vals, axis=1)
+        eff_count += int(np.sum(win_vals.min(axis=1) >= top_vals[:, units - 1] - 1e-12))
+        rev_acc = verification._merge_moments(rev_acc, units * price[:, 0])
+        util_acc = verification._merge_moments(util_acc, util.mean(axis=1))
+        done += m
+    _, sum_rev, m2_rev = rev_acc
+    _, sum_util, m2_util = util_acc
+    return verification.StatsReport(
+        format=fmt, rounds=rounds, seed=seed,
+        mean_revenue=sum_rev / rounds, se_revenue=float(np.sqrt(m2_rev / rounds / rounds)),
+        mean_utility=sum_util / rounds, se_utility=float(np.sqrt(m2_util / rounds / rounds)),
+        win_freq=list(seat_wins / rounds), efficiency=eff_count / rounds,
+    )
+
+
+_REPLAY_GRID = np.linspace(0.0, 1.0, 65)
+_REPLAY_NOISES = [
+    DeterministicWin(),
+    NoisyWin(DiscreteNoise([-1.0, 0.5, 1.0], [0.3, 0.4, 0.3]), scale=0.1),
+    NoisyWin(UniformNoise(-1.0, 1.0), scale=0.1),
+    NoisyWin(TruncatedNormalNoise(0.0, 1.0, -2.0, 2.0), scale=0.1),
+]
+
+
+def _replay_cases():
+    """(id, format, scenario, solution): every format, n in {2, 3, 5, 8, 10}
+    with K up to n - 1, each noise family, a mixture, an affine outside
+    option, 130 bidders and a schedule that falls."""
+    cases = []
+    crra = CRRAUtility(0.5, shift=2.0)
+    shaded = EquilibriumSolution.from_grid(_REPLAY_GRID, 0.8 * _REPLAY_GRID)
+    for n in (2, 3, 5, 8, 10):
+        values = ValueModel.iid(UniformDist(0.0, 1.0), n)
+        cases.append((f"fpa-n{n}", "fpa", FPAScenario(values=values, utility=crra), shaded))
+        for k in sorted({1, n // 2, n - 1}):
+            noise = _REPLAY_NOISES[(n + k) % len(_REPLAY_NOISES)]
+            fmt = "spa" if k == 1 else "uniform"
+            scn = SPAScenario(values=values, utility=crra, win_payoff=noise, units=k)
+            cases.append((f"{fmt}-n{n}-K{k}-{type(noise).__name__}", fmt, scn, shaded))
+    cases += [
+        ("fpa-mixture", "fpa", FPAScenario(values=_MIX3, utility=crra), shaded),
+        ("uniform-mixture", "uniform", SPAScenario(values=ValueModel.mixture(
+            [(0.3, UniformDist(0.0, 1.0)), (0.7, TruncatedNormalDist(0.5, 0.2, 0.0, 1.0))], 5),
+            utility=crra, win_payoff=_REPLAY_NOISES[3], units=2), shaded),
+        ("fpa-affine", "fpa", FPAScenario(values=U3, outside=AffineOutside(0.1, 0.2),
+                                          utility=crra), shaded),
+        ("spa-affine", "spa", SPAScenario(values=U3, outside=AffineOutside(0.1, 0.2),
+                                          utility=crra), shaded),
+        # a rank up to 129 overflows an int8
+        ("fpa-n130", "fpa", FPAScenario(values=ValueModel.iid(UniformDist(0.0, 1.0), 130)), shaded),
+    ]
+    falling = EquilibriumSolution.from_grid(_REPLAY_GRID, 0.5 + 0.3 * np.sin(7.0 * _REPLAY_GRID))
+    assert not falling.monotone
+    cases += [(f"{fmt}-falling", fmt, scn, falling) for fmt, scn in [
+        ("fpa", FPAScenario(values=U3, utility=CARAUtility(1.0))),
+        ("uniform", SPAScenario(values=ValueModel.iid(UniformDist(0.0, 1.0), 5),
+                                utility=CARAUtility(1.0), units=3))]]
+    return cases
+
+
+@pytest.mark.parametrize("fmt, scn, sol", [c[1:] for c in _replay_cases()],
+                         ids=[c[0] for c in _replay_cases()])
+def test_mc_matches_row_major_reference(monkeypatch, fmt, scn, sol):
+    # the bidder-major replay reads the same stream and rounds the same sums
+    monkeypatch.setattr(verification, "_CHUNK", 7_000)  # two full chunks and a ragged one
+    got = monte_carlo_auction(fmt, scn, sol, 20_000, seed=5)
+    assert got.to_json() == reference_monte_carlo(fmt, scn, sol, 20_000, seed=5).to_json()
+
+
+_FLAT = EquilibriumSolution.from_grid(np.linspace(0.0, 1.0, 5), np.full(5, 0.3))
+
+
+@pytest.mark.parametrize("fmt, n, units, seed", [
+    *[("spa", n, 1, seed) for n in (2, 3) for seed in range(4)],
+    ("uniform", 3, 2, 0),
+])
+def test_mc_breaks_ties_per_round(fmt, n, units, seed):
+    # every bid is 0.3, so each round's winners are a random draw: over one
+    # chunk each seat wins with probability units / n, round by round
+    scn = SPAScenario(values=ValueModel.iid(UniformDist(0.0, 1.0), n), units=units)
+    rounds = 100_000
+    stats = monte_carlo_auction(fmt, scn, _FLAT, rounds, seed=seed)
+    p = units / n
+    assert np.all(np.abs(np.array(stats.win_freq) - p) <= 4 * np.sqrt(p * (1 - p) / rounds))
+    assert sum(stats.win_freq) == pytest.approx(units)
+    assert stats.mean_revenue == pytest.approx(0.3 * units)
 
 
 #: every numeric constructor parameter, as a function of the value passed to it
