@@ -401,8 +401,7 @@ def monte_carlo_auction(fmt, scenario, solution, rounds, seed=0):
 
         util = np.broadcast_to(u.value(scenario.outside.value(vals)), vals.shape).copy()
         np.put_along_axis(util, winners, u.value(w - price), axis=0)
-        # numpy sums a row of 8 or more pairwise, shorter ones in order as axis 0 does
-        round_util = util.mean(axis=0) if n < 8 else np.ascontiguousarray(util.T).mean(axis=1)
+        round_util = np.ascontiguousarray(util.T).mean(axis=1)
 
         seat_wins += np.bincount(winners.ravel(), minlength=n)
         # fl(v - 1e-12) is monotone, so this is v_(units) - 1e-12 <= the least winning value
